@@ -11,10 +11,14 @@ optimization: memoizing uncorrelated subqueries within a statement.
 Rule conditions and actions (e.g. Example 3.1's
 ``where dept_no in (select dept_no from deleted dept)``) evaluate an
 uncorrelated subquery per scanned row; caching turns O(rows x subquery)
-into O(rows + subquery). Correlated subqueries (Example 3.3's) are
-detected statically and never cached.
+into O(rows + subquery). Subqueries over transition tables are cached
+under the database version plus the reading rule's trans-info stamp.
+Correlated subqueries (Example 3.3's) are detected statically and never
+cached.
 
-The toggle is ``database.enable_subquery_cache``.
+The toggle is ``database.enable_subquery_cache``. Besides the timings,
+the shape test counts select evaluations, so it fails on the count if
+the two arms ever run the same code again.
 """
 
 import time
@@ -22,6 +26,7 @@ import time
 import pytest
 
 from repro import ActiveDatabase
+from repro.relational import select as select_module
 
 from .conftest import print_series
 
@@ -61,6 +66,25 @@ def run_cascade(db):
     return db.execute("delete from dept where dept_no <= 5")
 
 
+def count_subquery_runs(db):
+    """Select evaluations made by the rule action's statement (the
+    triggering delete has no subquery, so each one is the action's
+    ``select dept_no from deleted dept``)."""
+    calls = [0]
+    original = select_module._SelectExecutor.run
+
+    def counting_run(self, node, outer):
+        calls[0] += 1
+        return original(self, node, outer)
+
+    select_module._SelectExecutor.run = counting_run
+    try:
+        run_cascade(db)
+    finally:
+        select_module._SelectExecutor.run = original
+    return calls[0]
+
+
 @pytest.mark.parametrize("employees", SIZES)
 def test_with_cache(benchmark, employees):
     def run():
@@ -86,7 +110,13 @@ def test_shape_cache_pays_off(benchmark):
 def _shape_cache_pays_off():
     rows = []
     ratios = {}
+    runs = {}
     for employees in SIZES:
+        runs[employees] = {
+            "cache_on": count_subquery_runs(build(employees, True)),
+            "cache_off": count_subquery_runs(build(employees, False)),
+        }
+
         def timed(enabled, employees=employees):
             db = build(employees, cache_enabled=enabled)
             start = time.perf_counter()
@@ -102,14 +132,22 @@ def _shape_cache_pays_off():
                 f"{with_cache*1e3:.1f}ms",
                 f"{without*1e3:.1f}ms",
                 f"{ratios[employees]:.1f}x",
+                runs[employees]["cache_on"],
+                runs[employees]["cache_off"],
             )
         )
     print_series(
         "ABL-1: uncorrelated-subquery cache on Example 3.1",
-        ("employees", "cache on", "cache off", "off/on"),
+        ("employees", "cache on", "cache off", "off/on",
+         "subquery runs on", "subquery runs off"),
         rows,
-        values={"off_over_on_ratio": ratios},
+        values={"off_over_on_ratio": ratios, "subquery_runs": runs},
     )
+    for employees, counts in runs.items():
+        # one run per statement with the cache, one per scanned row
+        # without it
+        assert counts["cache_on"] == 1, (employees, counts)
+        assert counts["cache_off"] == employees, (employees, counts)
     assert ratios[SIZES[-1]] > 2.0, (
         "memoization should clearly pay off on large scans"
     )

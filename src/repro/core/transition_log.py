@@ -44,6 +44,11 @@ class TransInfo:
             (equivalent to Figure 1's (h, c, v) triples, which share one
             ``v`` per handle; indexed per handle for O(1) access).
         sel: ``{(handle, column)}`` — §5.1 retrieved pairs.
+        stamp: fold counter, bumped by every :meth:`apply`. Together
+            with ``database.version`` it keys the cached results of
+            transition-table subqueries (a resolver reads one instance):
+            ``deleted`` and ``old updated`` read pre-images that change
+            only when an operation is folded.
         tables: ``{handle: table_name}`` — table association for every
             handle this info has seen (needed after deletion, when the
             database no longer knows the handle's table... it does via the
@@ -51,9 +56,10 @@ class TransInfo:
             and snapshot-friendly).
     """
 
-    __slots__ = ("ins", "deleted", "upd", "sel", "tables", "_upd_columns")
+    __slots__ = ("ins", "deleted", "upd", "sel", "tables", "stamp")
 
     def __init__(self):
+        self.stamp = 0
         self.ins = set()
         self.deleted = {}
         # upd is indexed per handle: {handle: (pre_image_row, {columns})};
@@ -105,6 +111,7 @@ class TransInfo:
 
     def apply(self, op_effect):
         """Fold one operation's affected set into this composite info."""
+        self.stamp += 1
         if isinstance(op_effect, InsertEffect):
             self._apply_insert(op_effect)
         elif isinstance(op_effect, DeleteEffect):

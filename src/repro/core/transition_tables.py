@@ -39,6 +39,13 @@ class TransitionTableResolver(BaseTableResolver):
         super().__init__(database)
         self.info = info
 
+    def state_key(self):
+        """``inserted``, ``new updated`` and ``selected`` read live
+        storage (``database.version``); ``deleted`` and ``old updated``
+        read baseline pre-images that change only when an operation is
+        folded into the trans-info (its ``stamp``)."""
+        return (self.database.version, self.info.stamp)
+
     def resolve(self, table_ref):
         if not isinstance(table_ref, ast.TransitionTableRef):
             return super().resolve(table_ref)

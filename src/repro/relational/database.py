@@ -30,8 +30,13 @@ class Database:
         #: mutation; evaluators use it to invalidate uncorrelated-subquery
         #: caches (see repro.relational.expressions)
         self.version = 0
-        #: ablation toggle for the uncorrelated-subquery cache
+        #: uncorrelated-subquery cache toggle; False re-runs every
+        #: subquery per outer row (the reference path)
         self.enable_subquery_cache = True
+        #: per-select-node "is this subquery uncorrelated?" answers,
+        #: ``{id(select): (schema_version, answer, select)}`` (see
+        #: ``Evaluator._is_uncorrelated``)
+        self.correlation_memo = {}
         from .index import IndexRegistry
 
         #: hash indexes by name (see repro.relational.index)

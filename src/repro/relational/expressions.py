@@ -22,6 +22,10 @@ from .types import compare_values
 
 AGGREGATE_NAMES = frozenset({"count", "sum", "avg", "min", "max"})
 
+#: bound on ``Database.correlation_memo`` (cleared wholesale on overflow,
+#: like the plan cache)
+CORRELATION_MEMO_ENTRIES = 512
+
 
 # ---------------------------------------------------------------------------
 # scopes
@@ -276,12 +280,12 @@ class Evaluator:
         self.resolver = resolver
         # Uncorrelated-subquery cache: a subquery that references only its
         # own FROM tables evaluates identically for every outer row, so
-        # within one database state its result can be reused. Keyed by the
-        # AST node's identity and guarded by the database's mutation
-        # version. Disable via ``database.enable_subquery_cache = False``
-        # (the ablation benchmark does).
+        # within one state its result can be reused. Keyed by the AST
+        # node's identity and guarded by the resolver's state key (the
+        # database's mutation version, plus the trans-info stamp for a
+        # rule's transition tables). Disable via
+        # ``database.enable_subquery_cache = False`` (the reference path).
         self._subquery_cache = {}
-        self._correlation_cache = {}
 
     # -- entry point ----------------------------------------------------
 
@@ -474,16 +478,14 @@ class Evaluator:
             and self._is_uncorrelated(select)
         )
         if cacheable:
+            state = self.resolver.state_key()
             entry = self._subquery_cache.get(id(select))
-            if entry is not None and entry[0] == self.database.version:
+            if entry is not None and entry[0] == state:
                 return entry[1]
         result = evaluate_select(self.database, select, self.resolver, outer=scope)
         if cacheable:
             # keep the node alive so id() stays unambiguous
-            self._subquery_cache[id(select)] = (
-                self.database.version, result.rows, select,
-            )
-            return result.rows
+            self._subquery_cache[id(select)] = (state, result.rows, select)
         return result.rows
 
     def _is_uncorrelated(self, select):
@@ -495,12 +497,21 @@ class Evaluator:
         (inner bindings shadow outer ones in SQL scoping, so a name that
         resolves inside is genuinely inner). Unknown tables or transition
         tables with unknown base tables disqualify caching.
+
+        The answer depends only on the node and the catalog, so it is
+        memoized once per database (rule conditions get a new evaluator
+        on every consideration) and guarded by ``schema_version``.
         """
-        cached = self._correlation_cache.get(id(select))
-        if cached is not None:
-            return cached[0]
+        memo = self.database.correlation_memo
+        schema_version = self.database.schema_version
+        entry = memo.get(id(select))
+        if entry is not None and entry[0] == schema_version:
+            return entry[1]
         result = _select_is_self_contained(select, self.database)
-        self._correlation_cache[id(select)] = (result, select)
+        if len(memo) >= CORRELATION_MEMO_ENTRIES:
+            memo.clear()
+        # keep the node alive so id() stays unambiguous
+        memo[id(select)] = (schema_version, result, select)
         return result
 
     def _any_comparison(self, op, value, select, scope):
@@ -596,11 +607,9 @@ def _select_is_self_contained(select, database):
     columns = set()
     for nested in ast.iter_selects(select):
         for table_ref in nested.tables:
-            if isinstance(table_ref, ast.TransitionTableRef):
-                # Transition-table contents vary with the reading rule's
-                # trans-info while database.version (the cache key) stays
-                # put — caching them would serve stale rows.
-                return False
+            # A transition table binds its base table's columns; its
+            # contents move with the rule's trans-info, which the
+            # resolver's state key covers.
             bindings.add(table_ref.binding_name)
             table_name = getattr(table_ref, "table", None)
             if table_name is None or not database.catalog.has_table(table_name):

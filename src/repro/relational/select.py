@@ -104,6 +104,13 @@ class BaseTableResolver:
     def __init__(self, database):
         self.database = database
 
+    def state_key(self):
+        """The state this resolver's reads depend on: cached subquery
+        results are reused only while it is unchanged (see
+        ``Evaluator._run_subquery``). Base tables move with every
+        physical mutation, which bumps ``database.version``."""
+        return self.database.version
+
     def resolve(self, table_ref):
         if isinstance(table_ref, ast.BaseTableRef):
             if self.database.on_table_read is not None:

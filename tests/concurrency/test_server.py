@@ -160,16 +160,23 @@ class TestServerBasics:
     def test_disconnect_aborts_open_transaction(self, served):
         with served.client() as setup:
             setup.execute("create table t (v float)")
+            aborts_before = setup.stats()["server"]["aborts"]
         client = served.client()
         client.begin()
         client.execute("insert into t values (1)")
-        client._sock.close()  # vanish without commit
+        # vanish without commit: the makefile reader holds the socket
+        # open too, so both must close for the server to see EOF
+        client._file.close()
+        client._sock.close()
         deadline = time.time() + 10
         with served.client() as other:
             while time.time() < deadline:
                 if other.stats()["server"]["sessions_open"] == 1:
                     break
                 time.sleep(0.05)
+            else:
+                pytest.fail("the server never saw the disconnect")
+            assert other.stats()["server"]["aborts"] > aborts_before
             assert other.query("select count(*) from t") == [[0]]
 
     def test_multiline_statements_fold_to_one_line(self, served):

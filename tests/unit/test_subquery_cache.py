@@ -1,9 +1,11 @@
 """Unit tests for the uncorrelated-subquery cache.
 
 The cache memoizes subqueries that are statically self-contained
-(reference only their own FROM tables), keyed by the database's mutation
-version. These tests pin down the classification, the invalidation, and
-— most importantly — that results are identical with the cache on/off.
+(reference only their own FROM tables), keyed by the resolver's state
+key: the database's mutation version, plus the trans-info stamp when the
+subquery reads a rule's transition tables. These tests pin down the
+classification, the invalidation, and — most importantly — that results
+are identical with the cache on/off.
 """
 
 import pytest
@@ -64,6 +66,26 @@ class TestCorrelationClassification:
 
     def test_unknown_table_disqualifies(self, database):
         assert not self.check(database, "select x from ghost")
+
+    def test_transition_table_binds_base_columns(self, database):
+        assert self.check(database, "select dept_no from deleted dept")
+        assert self.check(
+            database, "select salary from old updated emp.salary"
+        )
+        assert self.check(
+            database,
+            "select dept_no from dept where mgr_no in "
+            "(select dept_no from deleted emp)",
+        )
+
+    def test_transition_table_outer_reference_is_correlated(self, database):
+        assert not self.check(
+            database,
+            "select * from inserted emp i where i.dept_no = d.dept_no",
+        )
+        assert not self.check(
+            database, "select name from deleted emp where mystery = 1"
+        )
 
 
 class TestCacheBehaviour:
@@ -149,28 +171,39 @@ class TestCacheBehaviour:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0] == [("b",), ("c",)]
 
-    def test_transition_table_subquery_never_cached(self, database):
-        """Regression: a subquery reading a *transition table* must not be
-        classified self-contained. TransitionTableRef carries a ``.table``
-        attribute (its base table), so a purely attribute-based check
-        mistakes it for a cacheable base-table read — but its contents
-        vary with the reading rule's trans-info while ``database.version``
-        (the cache key) stays put."""
-        assert not _select_is_self_contained(
-            parse_select("select name from inserted emp"), database
-        )
-        assert not _select_is_self_contained(
-            parse_select("select salary from old updated emp.salary"),
-            database,
-        )
-        # a transition table anywhere in the subtree disqualifies too
-        assert not _select_is_self_contained(
-            parse_select(
-                "select name from emp where exists "
-                "(select * from deleted emp)"
-            ),
-            database,
-        )
+    def test_transition_subquery_runs_once_per_statement(self, monkeypatch):
+        """A rule action's ``IN (select ... from deleted dept)`` over 40
+        outer rows evaluates its subquery once per statement with the
+        cache, and once per outer row without it."""
+        from repro.relational import select as select_module
+
+        calls = {"n": 0}
+        original = select_module._SelectExecutor.run
+
+        def counting_run(self, node, outer):
+            calls["n"] += 1
+            return original(self, node, outer)
+
+        monkeypatch.setattr(select_module._SelectExecutor, "run", counting_run)
+        for enabled, expected_runs in ((True, 1), (False, 40)):
+            db = ActiveDatabase()
+            db.database.enable_subquery_cache = enabled
+            db.execute("create table emp (emp_no integer, dept_no integer)")
+            db.execute("create table dept (dept_no integer)")
+            db.execute("insert into dept values (1), (2)")
+            db.execute(
+                "insert into emp values "
+                + ", ".join(f"({i}, {1 + i % 2})" for i in range(40))
+            )
+            db.execute(
+                "create rule cascade when deleted from dept "
+                "then delete from emp "
+                "where dept_no in (select dept_no from deleted dept)"
+            )
+            calls["n"] = 0
+            db.execute("delete from dept where dept_no = 1")
+            assert calls["n"] == expected_runs
+            assert db.query("select count(*) from emp").scalar() == 20
 
     def test_transition_subquery_sees_trans_info_changes(self, database):
         """Regression: one Evaluator re-reading a transition-table
