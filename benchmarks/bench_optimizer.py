@@ -54,7 +54,6 @@ def build_zone_db(cost_planner, rows):
     database = db.database
     database.enable_cost_planner = cost_planner
     database.enable_compiled_eval = True
-    database.enable_vectorized_eval = True
     db.execute("create table big (k integer, v integer)")
     for i in range(rows):
         database.insert_row("big", (i, i % 7))

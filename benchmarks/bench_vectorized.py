@@ -1,11 +1,10 @@
-"""PERF-7: columnar batches + vectorized kernels vs row-at-a-time.
+"""PERF-7: columnar batches + vectorized kernels vs the interpreter.
 
 The batch-kernel layer turns predicate/projection evaluation from one
-Python closure call per row into one kernel call per column batch, so
-its win grows with scanned volume. Two shapes are measured, each as a
-vectorized-on vs vectorized-off series (both with the compiled layer
-on — the off series is PR 4's row-compiled closures, the layer's
-differential oracle):
+interpreter walk per row into one kernel call per column batch, so its
+win grows with scanned volume. Two shapes are measured, each as a
+compiled-on (``vectorized``) vs compiled-off (``interpreted``) series —
+the off series is the interpreter, the layer's differential oracle:
 
 * **predicate-heavy scan** — a four-conjunct filter chain plus ORDER BY
   over one table; the acceptance criterion (≥2x at full scale) is
@@ -58,7 +57,7 @@ def scan_sql(size):
 
 
 def timed_rows(db, sql, vectorized, repetitions=3):
-    db.database.enable_vectorized_eval = vectorized
+    db.database.enable_compiled_eval = vectorized
     best = None
     for _ in range(repetitions):
         start = time.perf_counter()
@@ -76,9 +75,9 @@ def test_scan_vectorized(benchmark, size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_scan_row_mode(benchmark, size):
+def test_scan_interpreted(benchmark, size):
     db = build_scan_db(size)
-    db.database.enable_vectorized_eval = False
+    db.database.enable_compiled_eval = False
     sql = scan_sql(size)
     benchmark.pedantic(lambda: db.rows(sql), rounds=3, iterations=1)
 
@@ -96,29 +95,30 @@ def _shape_predicate_heavy_scan():
         sql = scan_sql(size)
         db.rows(sql)  # warm plan/program caches out of the measurement
         vec_time, vec_count = timed_rows(db, sql, vectorized=True)
-        row_time, row_count = timed_rows(db, sql, vectorized=False)
-        assert vec_count == row_count
-        db.database.enable_vectorized_eval = True
+        int_time, int_count = timed_rows(db, sql, vectorized=False)
+        assert vec_count == int_count
+        db.database.enable_compiled_eval = True
         db.reset_stats()
         db.rows(sql)
         section = db.stats()["vectorized"]
         record_stats(f"scan_{size}", db)
-        speedup = row_time / vec_time
-        times[size] = {"vectorized": vec_time, "row": row_time}
+        speedup = int_time / vec_time
+        times[size] = {"vectorized": vec_time, "interpreted": int_time}
         speedups[size] = speedup
         rows.append(
             (
                 size,
                 vec_count,
                 f"{vec_time * 1e3:.1f}ms",
-                f"{row_time * 1e3:.1f}ms",
+                f"{int_time * 1e3:.1f}ms",
                 f"{speedup:.2f}x",
                 f"{section['selection_hit_rate']:.2f}",
             )
         )
     print_series(
-        "PERF-7: predicate-heavy scan, vectorized vs row-at-a-time",
-        ("rows", "selected", "vectorized", "row", "speedup", "hit rate"),
+        "PERF-7: predicate-heavy scan, vectorized vs interpreter",
+        ("rows", "selected", "vectorized", "interpreted", "speedup",
+         "hit rate"),
         rows,
         values={"seconds": times, "speedup": speedups},
     )
@@ -134,7 +134,7 @@ def _shape_predicate_heavy_scan():
 
 #: asserted typed-over-generic speedup at the largest full-mode size —
 #: monomorphic kernels only shave per-value dispatch, so the bar is
-#: lower than the vectorized-over-row criterion
+#: lower than the vectorized-over-interpreter criterion
 REQUIRED_TYPED_SPEEDUP = 1.05
 
 
@@ -253,7 +253,7 @@ def _shape_wide_cascade():
         per_mode = {}
         for vectorized in (True, False):
             db = build_cascade_db(size)
-            db.database.enable_vectorized_eval = vectorized
+            db.database.enable_compiled_eval = vectorized
             start = time.perf_counter()
             result = run_cascade(db)
             elapsed = time.perf_counter() - start
@@ -261,21 +261,21 @@ def _shape_wide_cascade():
             if vectorized:
                 record_stats(f"cascade_{size}", db)
         (vec_time, vec_fired) = per_mode[True]
-        (row_time, row_fired) = per_mode[False]
-        assert vec_fired == row_fired  # same rule behaviour both modes
-        times[size] = {"vectorized": vec_time, "row": row_time}
+        (int_time, int_fired) = per_mode[False]
+        assert vec_fired == int_fired  # same rule behaviour both modes
+        times[size] = {"vectorized": vec_time, "interpreted": int_time}
         rows.append(
             (
                 size,
                 vec_fired,
                 f"{vec_time * 1e3:.1f}ms",
-                f"{row_time * 1e3:.1f}ms",
-                f"{row_time / vec_time:.2f}x",
+                f"{int_time * 1e3:.1f}ms",
+                f"{int_time / vec_time:.2f}x",
             )
         )
     print_series(
-        "PERF-7: wide-table rule cascade, vectorized vs row-at-a-time",
-        ("rows", "fired", "vectorized", "row", "speedup"),
+        "PERF-7: wide-table rule cascade, vectorized vs interpreter",
+        ("rows", "fired", "vectorized", "interpreted", "speedup"),
         rows,
         values={"seconds": times},
     )

@@ -184,14 +184,15 @@ class RuleEngine:
         compiler = getattr(self.database, "compiler_stats", None)
         vectorized = getattr(self.database, "vectorized_stats", None)
         optimizer = getattr(self.database, "optimizer_stats", None)
-        from ..relational.compiled import vectorized_enabled
 
         return self._metrics.snapshot(
             strategy=getattr(self.strategy, "name", None),
             planner=planner.snapshot() if planner is not None else None,
             compiler=compiler.snapshot() if compiler is not None else None,
             vectorized=(
-                vectorized.snapshot(enabled=vectorized_enabled(self.database))
+                vectorized.snapshot(enabled=bool(
+                    getattr(self.database, "enable_compiled_eval", False)
+                ))
                 if vectorized is not None
                 else None
             ),
@@ -329,19 +330,6 @@ class RuleEngine:
         self.catalog.add_priority(higher, lower)
 
     def _register_rule(self, rule):
-        # Compile the condition now: define_rule is the one point every
-        # rule passes through once, so the quiescence loop's repeated
-        # considerations re-enter an already-cached program (the compiled
-        # cache re-compiles transparently if schema DDL intervenes).
-        if (
-            rule.condition is not None
-            and getattr(self.database, "enable_compiled_eval", False)
-        ):
-            from ..relational.compiled import program_for
-
-            program_for(
-                self.database, self._condition_for(rule), (), predicate=True
-            )
         # A rule defined mid-transaction starts with an empty baseline: it
         # observes only transitions that occur after its definition.
         if self.in_transaction:
@@ -998,12 +986,11 @@ class RuleEngine:
         """Evaluate the rule's condition against the current state and its
         transition tables (None condition means ``if true``).
 
-        With compiled evaluation on, the condition runs through the
-        program compiled at definition time (a cache hit here); its
-        subquery fallbacks — and the selects they execute — get compiled
-        filter/projection programs of their own. The evaluator is still
-        per-consideration: it carries the rule's current trans-info
-        resolver and the state-versioned subquery caches.
+        The condition itself is interpreted (it has no FROM binding of its
+        own); with compiled evaluation on, the selects its subqueries run
+        use cached batch programs for their filters and projections. The
+        evaluator is per-consideration: it carries the rule's current
+        trans-info resolver.
         """
         if rule.condition is None:
             return True
@@ -1012,14 +999,6 @@ class RuleEngine:
             self.database, self._info[rule.name]
         )
         evaluator = Evaluator(self.database, resolver)
-        database = self.database
-        if getattr(database, "enable_compiled_eval", False):
-            from ..relational.compiled import program_for
-
-            program = program_for(
-                database, condition, (), predicate=True
-            )
-            return program.run((), Scope(), evaluator)
         return evaluator.evaluate_predicate(condition, Scope())
 
     def _condition_for(self, rule):

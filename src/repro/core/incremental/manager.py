@@ -279,7 +279,8 @@ class IncrementalManager:
                 if evaluator is None:
                     resolver = TransitionTableResolver(self.database, info)
                     evaluator = Evaluator(self.database, resolver)
-                value = self._delta_value(conjunct.node, evaluator)
+                # the same interpreter path the full evaluation takes
+                value = evaluator.evaluate_predicate(conjunct.node, Scope())
             if value is False:
                 # Mirror the interpreter's conjunction short-circuit:
                 # later conjuncts are not evaluated (and cannot raise).
@@ -292,19 +293,6 @@ class IncrementalManager:
         else:
             self.stats.refreshes += 1
         return outcome, result
-
-    def _delta_value(self, node, evaluator):
-        """A delta conjunct runs through exactly the machinery the full
-        path would use for it (compiled program when enabled, whose
-        subquery root falls back to the interpreter; the interpreter
-        directly otherwise)."""
-        database = self.database
-        if getattr(database, "enable_compiled_eval", False):
-            from ...relational.compiled import program_for
-
-            program = program_for(database, node, (), predicate=True)
-            return program.run((), Scope(), evaluator)
-        return evaluator.evaluate_predicate(node, Scope())
 
     def _plan_for(self, rule):
         schema_version = self.database.schema_version

@@ -29,7 +29,7 @@ from __future__ import annotations
 def _batch_counter(database, table, binding, where):
     """A ``batch -> matching-row-count`` callable for ``where`` over
     batches of ``table`` rows bound as ``binding``, or ``None`` when the
-    vectorized layer is off (callers fall back to :func:`row_predicate`).
+    compiled layer is off (callers fall back to :func:`row_predicate`).
 
     Counting a batch is one filter-chain scan: the surviving selection
     vector's length is exactly Σ P(row) is True. Errors propagate (the
@@ -37,13 +37,9 @@ def _batch_counter(database, table, binding, where):
     first within the batch) and the caller's broken/stale handling
     applies unchanged.
     """
-    from ...relational.compiled import (
-        BatchContext,
-        run_batch_filter,
-        vectorized_enabled,
-    )
+    from ...relational.compiled import BatchContext, run_batch_filter
 
-    if where is None or not vectorized_enabled(database):
+    if where is None or not getattr(database, "enable_compiled_eval", False):
         return None
     columns = database.schema(table).column_names
     layout = ((binding, columns),)
@@ -76,14 +72,6 @@ def row_predicate(database, table, binding, where):
     if where is None:
         return lambda row: True
     columns = database.schema(table).column_names
-    if getattr(database, "enable_compiled_eval", False):
-        from ...relational.compiled import layout_of, program_for
-
-        program = program_for(
-            database, where, layout_of([(binding, columns)]), predicate=True
-        )
-        if not program.needs_scope:
-            return lambda row: program.run((row,), None, None)
     from ...relational.expressions import Evaluator, Scope
     from ...relational.select import BaseTableResolver
 

@@ -1,42 +1,55 @@
-"""Compiled-expression execution: ASTs translated to Python closures.
+"""Compiled-expression execution: ASTs lowered to vectorized batch kernels.
 
 The interpreter in :mod:`repro.relational.expressions` resolves every
 column reference through a :class:`~repro.relational.expressions.Scope`
 chain — a dict lookup plus a per-binding membership scan — *per row*.
-That cost dominates the system's hot paths: plan ``Filter`` nodes, hash
-join keys, projections, DML WHERE identification, and (through all of
-those) rule-condition evaluation in the quiescence loop, which the paper
-re-runs for every triggered rule after every transition (§4, Figure 1).
+That cost dominates the system's hot paths: plan ``Filter`` nodes over
+scans, hash-join keys, projections, DML WHERE identification, and
+(through all of those) rule-condition evaluation in the quiescence loop,
+which the paper re-runs for every triggered rule after every transition
+(§4, Figure 1).
 
-This module translates an expression AST into a tree of closed-over
-Python closures against a fixed *layout* — the ordered ``(binding_name,
-columns)`` pairs of a FROM clause. Column references resolve to
-``rows[i][j]`` tuple indexes **once at compile time**; three-valued
-logic, comparison, arithmetic and type-error behaviour reuse the
-interpreter's own helper functions so the two paths cannot drift.
+This module lowers an expression AST against a *single-binding* layout
+— one ``(binding_name, columns)`` pair — into a tree of batch kernels
+that evaluate the expression over a whole selection vector of column
+slots at once (the paper's set-at-a-time argument applied to our own
+expression evaluation). Column references resolve to column-list
+indexes **once at compile time**; three-valued logic, comparison,
+arithmetic and type-error behaviour reuse the interpreter's own helper
+functions so the two paths cannot drift. When operand kinds are
+statically proven (catalog column types or type witnesses), binary
+operators compile to monomorphic *typed* kernels.
 
-Constructs whose value depends on machinery beyond the row tuples —
+Constructs whose value depends on machinery beyond the column values —
 subqueries (they need the evaluator, its caches and the resolver),
 aggregates (they need a ``GroupScope``), and column references that do
 not resolve inside the layout (they belong to an outer query's scope) —
-compile to *fallback* closures that delegate the subtree to the
-interpreter. A program whose tree contains a fallback reports
-``needs_scope`` so callers materialize the Scope the interpreter
-expects; a program without one skips Scope construction entirely.
+compile to *fallback* kernels that run the subtree through the
+interpreter row by row. A program whose tree contains a fallback
+reports ``needs_scope`` so callers supply the Scope the interpreter
+expects; a program without one never builds a Scope.
 
-The invariance guarantee (docs/semantics.md §10): a compiled program
-returns exactly the value — or raises exactly the error — the
-interpreter would, for every expression and every row. The differential
-and property suites enforce it.
+Row-at-a-time sites the batch kernels do not serve — multi-binding
+layouts (join products and the filters and keys over them), inputs a
+resolver cannot serve as a batch, one-row maintained-view predicates —
+evaluate through the interpreter directly. There is one compiled path
+and one reference.
 
-Compiled programs are cached per database in a :class:`CompiledCache`
-keyed by ``(AST identity, layout, predicate-ness)`` and invalidated
-wholesale when ``database.schema_version`` moves, mirroring the plan
-cache: rule conditions and plan predicates are stable AST objects, so
-steady-state rule processing compiles once and re-enters the closures
-per consideration. ``database.enable_compiled_eval`` (default on;
-``REPRO_COMPILED_EVAL=0`` in the environment forces it off) gates every
-call site.
+The invariance guarantee (docs/semantics.md §10): a batch program
+returns exactly the values — and raises exactly the first error, in row
+order — the interpreter would when evaluating the expression over the
+selected rows one by one. The differential and property suites enforce
+it.
+
+Programs are cached per database in a :class:`CompiledCache` keyed by
+``(AST identity, layout, predicate-ness, typed specialization)`` and
+invalidated wholesale when ``database.schema_version`` moves, mirroring
+the plan cache: rule conditions and plan predicates are stable AST
+objects, so steady-state rule processing compiles once and re-enters
+the kernels per consideration. ``database.enable_compiled_eval``
+(default on; ``REPRO_COMPILED_EVAL=0`` in the environment forces it
+off) gates every call site; with it off the interpreter runs
+everything.
 """
 
 from __future__ import annotations
@@ -70,7 +83,7 @@ class CompilerStats:
 
     ``compiles`` counts programs built; ``nodes_compiled`` /
     ``nodes_fallback`` partition the AST nodes of those programs into
-    closure-compiled and interpreter-delegated; cache counters mirror
+    kernel-compiled and interpreter-delegated; cache counters mirror
     the plan cache's. Exposed as ``stats()["compiler"]``.
     """
 
@@ -121,33 +134,13 @@ class CompilerStats:
         }
 
 
-class CompiledProgram:
-    """One compiled expression: a closure tree plus its metadata.
-
-    ``fn(rows, scope, evaluator)`` evaluates against ``rows`` (a tuple of
-    row value tuples aligned with the compile-time layout). ``scope`` may
-    be ``None`` unless :attr:`needs_scope`; ``evaluator`` is only touched
-    by fallback nodes (and may be ``None`` for programs without any).
-    """
-
-    __slots__ = ("fn", "needs_scope", "nodes_compiled", "nodes_fallback")
-
-    def __init__(self, fn, needs_scope, nodes_compiled, nodes_fallback):
-        self.fn = fn
-        self.needs_scope = needs_scope
-        self.nodes_compiled = nodes_compiled
-        self.nodes_fallback = nodes_fallback
-
-    def run(self, rows, scope, evaluator):
-        return self.fn(rows, scope, evaluator)
-
-
 class CompiledCache:
-    """Compiled programs per database, guarded by the schema version.
+    """Batch programs per database, guarded by the schema version.
 
-    Keys are ``(id(node), layout, predicate)`` — AST *identity*, not
-    structure: plan predicates and rule conditions are long-lived
-    objects, and identity keys make lookups O(1) without deep hashing.
+    Keys are ``(id(node), layout, predicate, typed, table)`` — AST
+    *identity*, not structure: plan predicates and rule conditions are
+    long-lived objects, and identity keys make lookups O(1) without deep
+    hashing.
     Each entry holds a strong reference to its AST node so the id cannot
     be recycled while the entry lives. ``max_entries`` bounds ad-hoc
     growth the way the plan cache does (wholesale clear on overflow).
@@ -162,13 +155,12 @@ class CompiledCache:
         return len(self._programs)
 
     def program_for(self, node, layout, database, predicate=False,
-                    stats=None, batch=False, table=None):
-        """The cached program for ``node`` against ``layout``, compiling
-        on miss. ``layout`` is a hashable tuple of ``(binding_name,
-        columns_tuple)`` pairs; ``predicate=True`` adds the interpreter's
-        predicate coercion at the root; ``batch=True`` compiles a
-        vectorized :class:`BatchProgram` instead of a row closure;
-        ``table`` (batch only) names the base table the layout's columns
+                    stats=None, table=None):
+        """The cached :class:`BatchProgram` for ``node`` against
+        ``layout``, compiling on miss. ``layout`` is a hashable
+        one-element tuple ``((binding_name, columns_tuple),)``;
+        ``predicate=True`` adds the interpreter's predicate coercion at
+        the root; ``table`` names the base table the layout's columns
         come from, enabling catalog-kind specialization — the typed and
         generic variants cache under distinct keys, so toggling
         ``enable_typed_kernels`` never serves a stale specialization."""
@@ -178,11 +170,8 @@ class CompiledCache:
                     stats.invalidations += 1
                 self._programs.clear()
             self._schema_version = database.schema_version
-        spec = None
-        if batch:
-            typed = typed_kernels_enabled(database)
-            spec = (typed, table if typed else None)
-        key = (id(node), layout, predicate, batch, spec)
+        typed = typed_kernels_enabled(database)
+        key = (id(node), layout, predicate, typed, table if typed else None)
         entry = self._programs.get(key)
         if entry is not None:
             if stats is not None:
@@ -191,29 +180,20 @@ class CompiledCache:
         if stats is not None:
             stats.cache_misses += 1
             stats.compiles += 1
-        if batch:
-            kinds = None
-            typed_database = None
-            if spec is not None and spec[0]:
-                typed_database = database
-                if table is not None:
-                    kinds = _table_kinds(database, table)
-            if predicate:
-                program = compile_batch_predicate(
-                    node, layout, kinds, typed_database
-                )
-            else:
-                program = compile_batch_expression(
-                    node, layout, kinds, typed_database
-                )
-            vstats = getattr(database, "vectorized_stats", None)
-            if vstats is not None:
-                vstats.typed_kernels += program.kernels_typed
-                vstats.generic_kernels += program.kernels_generic
-        elif predicate:
-            program = compile_predicate(node, layout)
-        else:
-            program = compile_expression(node, layout)
+        kinds = None
+        typed_database = None
+        if typed:
+            typed_database = database
+            if table is not None:
+                kinds = _table_kinds(database, table)
+        compile_fn = (
+            compile_batch_predicate if predicate else compile_batch_expression
+        )
+        program = compile_fn(node, layout, kinds, typed_database)
+        vstats = getattr(database, "vectorized_stats", None)
+        if vstats is not None:
+            vstats.typed_kernels += program.kernels_typed
+            vstats.generic_kernels += program.kernels_generic
         if stats is not None:
             stats.nodes_compiled += program.nodes_compiled
             stats.nodes_fallback += program.nodes_fallback
@@ -227,35 +207,28 @@ class CompiledCache:
         self._programs.clear()
 
 
-def program_for(database, node, layout, predicate=False):
-    """Convenience wrapper: the database's cached program for ``node``."""
-    return database.compiled_cache.program_for(
-        node, layout, database, predicate, database.compiler_stats
-    )
-
-
 def batch_program_for(database, node, layout, predicate=False, table=None):
-    """The database's cached *batch* program for ``node`` (vectorized
-    kernel tree; see :class:`BatchProgram`). ``table`` optionally names
-    the base table backing the layout's columns, enabling typed-kernel
-    specialization from catalog column types."""
+    """The database's cached batch program for ``node`` (see
+    :class:`BatchProgram`). ``table`` optionally names the base table
+    backing the layout's columns, enabling typed-kernel specialization
+    from catalog column types."""
     return database.compiled_cache.program_for(
         node, layout, database, predicate, database.compiler_stats,
-        batch=True, table=table,
+        table=table,
     )
 
 
 def typed_kernels_enabled(database):
     """Whether batch compilation may specialize kernels on static types.
 
-    Typed kernels sit on top of the vectorized layer: they need batch
+    Typed kernels sit on top of the compiled layer: they need batch
     kernels to exist at all, and ``REPRO_TYPED_KERNELS=0``
     (``database.enable_typed_kernels``) turns only the specialization
     off, leaving generic kernels as the differential baseline.
     """
     return bool(
         getattr(database, "enable_typed_kernels", False)
-        and vectorized_enabled(database)
+        and getattr(database, "enable_compiled_eval", False)
     )
 
 
@@ -288,478 +261,9 @@ def _table_kinds(database, table):
     }
 
 
-def vectorized_enabled(database):
-    """Whether call sites should take the batch-kernel path.
-
-    Vectorized execution sits *on top of* the compiled layer (kernels
-    reuse the same helpers and cache), so disabling compiled evaluation
-    (``REPRO_COMPILED_EVAL=0``) also disables vectorization — the pure
-    interpreter remains the bottom-most oracle.
-    """
-    return bool(
-        getattr(database, "enable_vectorized_eval", False)
-        and getattr(database, "enable_compiled_eval", False)
-    )
-
-
 def layout_of(bindings):
     """A hashable layout from a ``(name, columns)`` bindings list."""
     return tuple((name, tuple(columns)) for name, columns in bindings)
-
-
-# ---------------------------------------------------------------------------
-# compilation entry points
-
-
-def compile_expression(expression, layout):
-    """Compile ``expression`` to a :class:`CompiledProgram` evaluating to
-    a value (``None`` = SQL NULL), exactly as the interpreter's
-    ``evaluate`` would."""
-    compiler = _Compiler(layout)
-    fn, needs_scope = compiler.compile(expression)
-    return CompiledProgram(
-        fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback
-    )
-
-
-def compile_predicate(expression, layout):
-    """Compile ``expression`` as a predicate: the result is coerced to
-    True/False/None with the interpreter's non-boolean error."""
-    compiler = _Compiler(layout)
-    fn, needs_scope = compiler.compile_predicate(expression)
-    return CompiledProgram(
-        fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback
-    )
-
-
-# ---------------------------------------------------------------------------
-# the compiler
-
-_AMBIGUOUS = object()
-
-
-class _Compiler:
-    """One compilation pass: resolves column slots against a layout and
-    lowers each node to a closure, counting what compiled vs. fell back."""
-
-    def __init__(self, layout):
-        self.nodes_compiled = 0
-        self.nodes_fallback = 0
-        # (qualifier, column) -> (i, j); qualifier -> True for presence
-        self._qualified = {}
-        self._qualifiers = set()
-        # column -> (i, j) | _AMBIGUOUS (paired with the ambiguity names)
-        self._unqualified = {}
-        self._ambiguous_names = {}
-        for i, (name, columns) in enumerate(layout):
-            self._qualifiers.add(name)
-            for j, column in enumerate(columns):
-                self._qualified[(name, column)] = (i, j)
-                if column in self._unqualified:
-                    if self._unqualified[column] is not _AMBIGUOUS:
-                        first = self._ambiguous_names[column][0]
-                        if first != name:
-                            self._unqualified[column] = _AMBIGUOUS
-                    if name not in self._ambiguous_names[column]:
-                        self._ambiguous_names[column].append(name)
-                else:
-                    self._unqualified[column] = (i, j)
-                    self._ambiguous_names[column] = [name]
-
-    # -- dispatch ---------------------------------------------------------
-
-    def compile(self, node):
-        """Lower ``node``; returns ``(fn, needs_scope)``."""
-        handler = _HANDLERS.get(type(node))
-        if handler is None:
-            return self._fallback(node)
-        return handler(self, node)
-
-    def compile_predicate(self, node):
-        """Lower ``node`` with predicate-result coercion at the root —
-        the compiled mirror of ``Evaluator.evaluate_predicate``."""
-        if type(node) in _DYNAMIC_NODES:
-            # delegate the whole predicate: evaluate_predicate applies
-            # the same coercion after the interpreter runs the subtree
-            self.nodes_fallback += 1
-
-            def fallback_predicate(rows, scope, evaluator):
-                return evaluator.evaluate_predicate(node, scope)
-
-            return fallback_predicate, True
-        fn, needs_scope = self.compile(node)
-        if _always_boolean(node):
-            # the closure can only produce True/False/None (or raise);
-            # the interpreter's coercion would be a no-op
-            return fn, needs_scope
-
-        def predicate(rows, scope, evaluator):
-            value = fn(rows, scope, evaluator)
-            if value is None or isinstance(value, bool):
-                return value
-            raise ExecutionError(
-                f"predicate evaluated to non-boolean value {value!r}"
-            )
-
-        return predicate, needs_scope
-
-    def _fallback(self, node):
-        """Delegate ``node`` (and its whole subtree) to the interpreter."""
-        self.nodes_fallback += 1
-
-        def fallback(rows, scope, evaluator):
-            return evaluator.evaluate(node, scope)
-
-        return fallback, True
-
-    # -- leaves -----------------------------------------------------------
-
-    def _compile_literal(self, node):
-        self.nodes_compiled += 1
-        value = node.value
-
-        def literal(rows, scope, evaluator):
-            return value
-
-        return literal, False
-
-    def _compile_column_ref(self, node):
-        column = node.column
-        qualifier = node.qualifier
-        if qualifier is not None:
-            slot = self._qualified.get((qualifier, column))
-            if slot is not None:
-                self.nodes_compiled += 1
-                i, j = slot
-
-                def qualified_ref(rows, scope, evaluator):
-                    return rows[i][j]
-
-                return qualified_ref, False
-            if qualifier in self._qualifiers:
-                # the innermost scope owns this qualifier but lacks the
-                # column: the interpreter errors without looking outward,
-                # and so must we — but only if the node is ever evaluated
-                self.nodes_compiled += 1
-                message = (
-                    f"table or alias {qualifier!r} has no column {column!r}"
-                )
-
-                def missing_column(rows, scope, evaluator):
-                    raise ExecutionError(message)
-
-                return missing_column, False
-            return self._fallback(node)  # outer query's binding
-        slot = self._unqualified.get(column)
-        if slot is None:
-            return self._fallback(node)  # outer scope (or unknown: the
-            # interpreter raises its own error either way)
-        if slot is _AMBIGUOUS:
-            self.nodes_compiled += 1
-            names = ", ".join(self._ambiguous_names[column])
-            message = (
-                f"ambiguous column reference {column!r} "
-                f"(could be any of: {names})"
-            )
-
-            def ambiguous_ref(rows, scope, evaluator):
-                raise ExecutionError(message)
-
-            return ambiguous_ref, False
-        self.nodes_compiled += 1
-        i, j = slot
-
-        def column_ref(rows, scope, evaluator):
-            return rows[i][j]
-
-        return column_ref, False
-
-    def _compile_star(self, node):
-        self.nodes_compiled += 1
-
-        def star(rows, scope, evaluator):
-            raise ExecutionError("'*' is only valid in select lists and count(*)")
-
-        return star, False
-
-    # -- operators --------------------------------------------------------
-
-    def _compile_unary(self, node):
-        op = node.op
-        if op == "not":
-            operand, needs = self.compile_predicate(node.operand)
-            self.nodes_compiled += 1
-
-            def negation(rows, scope, evaluator):
-                return logic_not(operand(rows, scope, evaluator))
-
-            return negation, needs
-        operand, needs = self.compile(node.operand)
-        self.nodes_compiled += 1
-        negate = op == "-"
-
-        def unary(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError_(f"unary {op} requires a number, got {value!r}")
-            return -value if negate else value
-
-        return unary, needs
-
-    def _compile_binary(self, node):
-        op = node.op
-        if op == "and":
-            left, left_needs = self.compile_predicate(node.left)
-            right, right_needs = self.compile_predicate(node.right)
-            self.nodes_compiled += 1
-
-            def conjunction(rows, scope, evaluator):
-                value = left(rows, scope, evaluator)
-                if value is False:
-                    return False  # short-circuit
-                return logic_and(value, right(rows, scope, evaluator))
-
-            return conjunction, left_needs or right_needs
-        if op == "or":
-            left, left_needs = self.compile_predicate(node.left)
-            right, right_needs = self.compile_predicate(node.right)
-            self.nodes_compiled += 1
-
-            def disjunction(rows, scope, evaluator):
-                value = left(rows, scope, evaluator)
-                if value is True:
-                    return True  # short-circuit
-                return logic_or(value, right(rows, scope, evaluator))
-
-            return disjunction, left_needs or right_needs
-
-        left, left_needs = self.compile(node.left)
-        right, right_needs = self.compile(node.right)
-        needs = left_needs or right_needs
-        self.nodes_compiled += 1
-
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-
-            def comparison(rows, scope, evaluator):
-                return compare(
-                    op,
-                    left(rows, scope, evaluator),
-                    right(rows, scope, evaluator),
-                )
-
-            return comparison, needs
-
-        if op == "||":
-
-            def concat(rows, scope, evaluator):
-                left_value = left(rows, scope, evaluator)
-                right_value = right(rows, scope, evaluator)
-                if left_value is None or right_value is None:
-                    return None
-                if not isinstance(left_value, str) or not isinstance(
-                    right_value, str
-                ):
-                    raise TypeError_(
-                        f"'||' requires strings, got {left_value!r} and "
-                        f"{right_value!r}"
-                    )
-                return left_value + right_value
-
-            return concat, needs
-
-        if op in ("+", "-", "*", "/", "%"):
-
-            def arithmetic(rows, scope, evaluator):
-                left_value = left(rows, scope, evaluator)
-                right_value = right(rows, scope, evaluator)
-                if left_value is None or right_value is None:
-                    return None
-                if isinstance(left_value, bool) or isinstance(
-                    right_value, bool
-                ):
-                    raise TypeError_(
-                        f"arithmetic on booleans: {left_value!r} {op} "
-                        f"{right_value!r}"
-                    )
-                if not isinstance(left_value, (int, float)) or not isinstance(
-                    right_value, (int, float)
-                ):
-                    raise TypeError_(
-                        f"arithmetic requires numbers: {left_value!r} {op} "
-                        f"{right_value!r}"
-                    )
-                if op == "+":
-                    return left_value + right_value
-                if op == "-":
-                    return left_value - right_value
-                if op == "*":
-                    return left_value * right_value
-                if op == "/":
-                    if right_value == 0:
-                        raise ExecutionError("division by zero")
-                    result = left_value / right_value
-                    # integer / integer stays integral when exact
-                    if isinstance(left_value, int) and isinstance(
-                        right_value, int
-                    ):
-                        quotient = left_value // right_value
-                        if quotient * right_value == left_value:
-                            return quotient
-                    return result
-                if right_value == 0:
-                    raise ExecutionError("modulo by zero")
-                return left_value % right_value
-
-            return arithmetic, needs
-
-        message = f"unknown binary operator {op!r}"
-
-        def unknown_operator(rows, scope, evaluator):
-            raise ExecutionError(message)
-
-        return unknown_operator, needs
-
-    # -- predicates -------------------------------------------------------
-
-    def _compile_is_null(self, node):
-        operand, needs = self.compile(node.operand)
-        self.nodes_compiled += 1
-        negated = node.negated
-
-        def is_null(rows, scope, evaluator):
-            result = operand(rows, scope, evaluator) is None
-            return not result if negated else result
-
-        return is_null, needs
-
-    def _compile_between(self, node):
-        operand, operand_needs = self.compile(node.operand)
-        low, low_needs = self.compile(node.low)
-        high, high_needs = self.compile(node.high)
-        self.nodes_compiled += 1
-        negated = node.negated
-
-        def between(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            low_value = low(rows, scope, evaluator)
-            high_value = high(rows, scope, evaluator)
-            result = logic_and(
-                compare("<=", low_value, value),
-                compare("<=", value, high_value),
-            )
-            return logic_not(result) if negated else result
-
-        return between, operand_needs or low_needs or high_needs
-
-    def _compile_like(self, node):
-        operand, operand_needs = self.compile(node.operand)
-        negated = node.negated
-        if isinstance(node.pattern, ast.Literal) and isinstance(
-            node.pattern.value, str
-        ):
-            # constant pattern: the regex compiles once, at compile time
-            self.nodes_compiled += 2  # the Like node and its pattern
-            regex = _like_to_regex(node.pattern.value)
-
-            def like_constant(rows, scope, evaluator):
-                value = operand(rows, scope, evaluator)
-                if value is None:
-                    return None
-                if not isinstance(value, str):
-                    raise TypeError_("LIKE requires string operands")
-                result = bool(regex.match(value))
-                return not result if negated else result
-
-            return like_constant, operand_needs
-        pattern, pattern_needs = self.compile(node.pattern)
-        self.nodes_compiled += 1
-
-        def like(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            pattern_value = pattern(rows, scope, evaluator)
-            if value is None or pattern_value is None:
-                return None
-            if not isinstance(value, str) or not isinstance(
-                pattern_value, str
-            ):
-                raise TypeError_("LIKE requires string operands")
-            result = bool(_like_to_regex(pattern_value).match(value))
-            return not result if negated else result
-
-        return like, operand_needs or pattern_needs
-
-    def _compile_in_list(self, node):
-        operand, needs = self.compile(node.operand)
-        items = []
-        for item in node.items:
-            item_fn, item_needs = self.compile(item)
-            items.append(item_fn)
-            needs = needs or item_needs
-        self.nodes_compiled += 1
-        negated = node.negated
-
-        def in_list(rows, scope, evaluator):
-            value = operand(rows, scope, evaluator)
-            found_unknown = False
-            for item_fn in items:
-                result = compare("=", value, item_fn(rows, scope, evaluator))
-                if result is True:
-                    return False if negated else True
-                if result is None:
-                    found_unknown = True
-            if found_unknown:
-                return None
-            return True if negated else False
-
-        return in_list, needs
-
-    # -- functions --------------------------------------------------------
-
-    def _compile_function_call(self, node):
-        if node.name in AGGREGATE_NAMES:
-            # aggregates need the GroupScope machinery
-            return self._fallback(node)
-        args = []
-        needs = False
-        for arg in node.args:
-            arg_fn, arg_needs = self.compile(arg)
-            args.append(arg_fn)
-            needs = needs or arg_needs
-        self.nodes_compiled += 1
-        name = node.name
-
-        def function_call(rows, scope, evaluator):
-            return _apply_scalar_function(
-                name, [arg_fn(rows, scope, evaluator) for arg_fn in args]
-            )
-
-        return function_call, needs
-
-    def _compile_case(self, node):
-        branches = []
-        needs = False
-        for condition, value in node.branches:
-            condition_fn, condition_needs = self.compile_predicate(condition)
-            value_fn, value_needs = self.compile(value)
-            branches.append((condition_fn, value_fn))
-            needs = needs or condition_needs or value_needs
-        default = None
-        if node.default is not None:
-            default, default_needs = self.compile(node.default)
-            needs = needs or default_needs
-        self.nodes_compiled += 1
-
-        def case(rows, scope, evaluator):
-            for condition_fn, value_fn in branches:
-                if condition_fn(rows, scope, evaluator) is True:
-                    return value_fn(rows, scope, evaluator)
-            if default is not None:
-                return default(rows, scope, evaluator)
-            return None
-
-        return case, needs
 
 
 _COMPARISON_OPS = frozenset({"=", "<>", "<", "<=", ">", ">=", "and", "or"})
@@ -790,20 +294,6 @@ _DYNAMIC_NODES = frozenset(
     }
 )
 
-_HANDLERS = {
-    ast.Literal: _Compiler._compile_literal,
-    ast.ColumnRef: _Compiler._compile_column_ref,
-    ast.Star: _Compiler._compile_star,
-    ast.UnaryOp: _Compiler._compile_unary,
-    ast.BinaryOp: _Compiler._compile_binary,
-    ast.IsNull: _Compiler._compile_is_null,
-    ast.Between: _Compiler._compile_between,
-    ast.Like: _Compiler._compile_like,
-    ast.InList: _Compiler._compile_in_list,
-    ast.FunctionCall: _Compiler._compile_function_call,
-    ast.CaseExpression: _Compiler._compile_case,
-}
-
 
 # ---------------------------------------------------------------------------
 # vectorized (batch) kernels
@@ -827,8 +317,8 @@ _HANDLERS = {
 # row evaluator would touch before reaching the earliest error. A later
 # child's error therefore always sits at a strictly earlier row than a
 # pending one and takes precedence. The result: a batch program returns
-# the same value prefix and raises the same first error as evaluating
-# the row program over ``sel`` in order.
+# the same value prefix and raises the same first error as interpreting
+# the expression row by row over ``sel`` in order.
 
 
 #: counters whose deltas the engine attaches to rule events (mirrors
@@ -964,7 +454,7 @@ def compile_batch_predicate(expression, layout, kinds=None, database=None):
     """Compile ``expression`` as a batch predicate: values are coerced
     to True/False/None with the interpreter's non-boolean error."""
     compiler = _BatchCompiler(layout, kinds=kinds, database=database)
-    fn, needs_scope = compiler.compile_predicate(expression)
+    fn, needs_scope = compiler.compile_as_predicate(expression)
     return BatchProgram(
         fn, needs_scope, compiler.nodes_compiled, compiler.nodes_fallback,
         compiler.kernels_typed, compiler.kernels_generic,
@@ -1114,7 +604,7 @@ def prune_selection(batch, specs, optimizer_stats):
 class _BatchCompiler:
     """One batch-compilation pass over a *single-binding* layout.
 
-    Multi-binding layouts (join products) stay on the row path — batch
+    Multi-binding layouts (join products) stay on the interpreter — batch
     kernels serve scans, filters over one table, DML targeting,
     transition tables, and join sides before the product is formed.
 
@@ -1126,7 +616,7 @@ class _BatchCompiler:
     analysis over ``kinds`` — compile to *monomorphic* kernels with no
     per-value type dispatch and no try/except (a total subtree cannot
     raise, so error parity is trivially preserved). Everything else
-    keeps the generic kernels, and the row-compiled closures remain the
+    keeps the generic kernels, and the interpreter remains the
     differential oracle for both.
     """
 
@@ -1143,7 +633,7 @@ class _BatchCompiler:
         self._binding = binding
         self._columns = {}
         for j, column in enumerate(columns):
-            # first slot wins, as in the row compiler's layout maps
+            # first slot wins, as in Scope's columns.index() lookup
             self._columns.setdefault(column, j)
         self._database = database
         self._layers = None
@@ -1343,7 +833,7 @@ class _BatchCompiler:
             return self._fallback(node)
         return handler(self, node)
 
-    def compile_predicate(self, node):
+    def compile_as_predicate(self, node):
         """Lower ``node`` with predicate coercion at the root — the
         batch mirror of ``Evaluator.evaluate_predicate``."""
         if type(node) in _DYNAMIC_NODES:
@@ -1437,7 +927,7 @@ class _BatchCompiler:
     def _compile_unary(self, node):
         op = node.op
         if op == "not":
-            operand, needs = self.compile_predicate(node.operand)
+            operand, needs = self.compile_as_predicate(node.operand)
             self.nodes_compiled += 1
 
             def negation(ctx, sel):
@@ -1473,8 +963,8 @@ class _BatchCompiler:
     def _compile_binary(self, node):
         op = node.op
         if op == "and":
-            left, left_needs = self.compile_predicate(node.left)
-            right, right_needs = self.compile_predicate(node.right)
+            left, left_needs = self.compile_as_predicate(node.left)
+            right, right_needs = self.compile_as_predicate(node.right)
             self.nodes_compiled += 1
 
             def conjunction(ctx, sel):
@@ -1502,8 +992,8 @@ class _BatchCompiler:
 
             return conjunction, left_needs or right_needs
         if op == "or":
-            left, left_needs = self.compile_predicate(node.left)
-            right, right_needs = self.compile_predicate(node.right)
+            left, left_needs = self.compile_as_predicate(node.left)
+            right, right_needs = self.compile_as_predicate(node.right)
             self.nodes_compiled += 1
 
             def disjunction(ctx, sel):
@@ -1851,7 +1341,7 @@ class _BatchCompiler:
         branches = []
         needs = False
         for condition, value in node.branches:
-            condition_fn, condition_needs = self.compile_predicate(condition)
+            condition_fn, condition_needs = self.compile_as_predicate(condition)
             value_fn, value_needs = self.compile(value)
             branches.append((condition_fn, value_fn))
             needs = needs or condition_needs or value_needs
@@ -1952,7 +1442,7 @@ def _zip2(left, right, ctx, sel):
 
 
 def _arith(op, left_value, right_value):
-    """One arithmetic application with the row closure's exact type and
+    """One arithmetic application with the interpreter's exact type and
     zero-division behaviour."""
     if left_value is None or right_value is None:
         return None

@@ -78,35 +78,24 @@ class Database:
         #: cost-layer counters (plans costed, reorders, zones pruned, ...)
         self.optimizer_stats = OptimizerStats()
 
-        from .compiled import CompiledCache, CompilerStats
+        from .compiled import CompiledCache, CompilerStats, VectorizedStats
 
-        #: evaluate predicates/projections through compiled closures (see
-        #: repro.relational.compiled); False interprets every expression —
-        #: same values and errors, different cost. REPRO_COMPILED_EVAL=0
-        #: in the environment forces the layer off (CI runs both ways).
+        #: evaluate scans, filters, projections, join keys, DML
+        #: targeting, and transition-table conditions through batch
+        #: kernels over columnar storage (see repro.relational.compiled);
+        #: False interprets every expression — same values and errors,
+        #: different cost. Sites the kernels cannot serve (join
+        #: products, for one) use the interpreter either way.
+        #: REPRO_COMPILED_EVAL=0 in the environment forces the layer off
+        #: (CI runs both ways).
         self.enable_compiled_eval = os.environ.get(
             "REPRO_COMPILED_EVAL", "1"
         ).lower() not in ("0", "off", "false")
-        #: compiled programs per (expression AST, layout), invalidated by
+        #: batch programs per (expression AST, layout), invalidated by
         #: schema_version like the plan cache
         self.compiled_cache = CompiledCache()
         #: compiler counters (compiles, cache hits, fallback nodes, ...)
         self.compiler_stats = CompilerStats()
-
-        from .compiled import VectorizedStats
-
-        #: evaluate scans, filters, projections, join keys, DML
-        #: targeting, and transition-table conditions through batch
-        #: kernels over columnar storage (see the vectorized section of
-        #: repro.relational.compiled); False keeps PR 4's row-at-a-time
-        #: compiled closures — same values and errors, different cost.
-        #: Vectorization layers on top of compiled evaluation, so
-        #: REPRO_COMPILED_EVAL=0 disables both and leaves the pure
-        #: interpreter oracle. REPRO_VECTORIZED_EVAL=0 forces just this
-        #: layer off (CI runs both ways).
-        self.enable_vectorized_eval = os.environ.get(
-            "REPRO_VECTORIZED_EVAL", "1"
-        ).lower() not in ("0", "off", "false")
         #: batch-kernel counters (batches scanned, selection-vector
         #: sizes, per-row fallbacks)
         self.vectorized_stats = VectorizedStats()
@@ -115,7 +104,7 @@ class Database:
         #: (catalog column kinds + definition-time type witnesses; see
         #: the typed-kernel section of repro.relational.compiled) —
         #: monomorphic comparison/arithmetic kernels with no per-value
-        #: dispatch. Layers on top of vectorized evaluation, so turning
+        #: dispatch. Layers on top of compiled evaluation, so turning
         #: that off disables this too; False keeps the generic
         #: dispatching kernels — same values, errors and fired-rule
         #: sequences, different cost. REPRO_TYPED_KERNELS=0 forces the

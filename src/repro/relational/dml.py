@@ -272,9 +272,7 @@ class DmlExecutor:
             return table.items()
         candidates = index_candidates(where, table, {table_name})
         columns = schema.column_names
-        from .compiled import vectorized_enabled
-
-        if vectorized_enabled(self.database):
+        if getattr(self.database, "enable_compiled_eval", False):
             from .compiled import BatchContext, run_batch_filter
 
             if candidates is None:
@@ -310,22 +308,6 @@ class DmlExecutor:
         else:
             pairs = [(handle, table.get(handle)) for handle in sorted(candidates)]
         matched = []
-        if getattr(self.database, "enable_compiled_eval", False):
-            from .compiled import program_for
-
-            program = program_for(
-                self.database, where, ((table_name, columns),), predicate=True
-            )
-            needs_scope = program.needs_scope
-            evaluator = self._evaluator
-            for handle, row in pairs:
-                scope = None
-                if needs_scope:
-                    scope = Scope()
-                    scope.bind(table_name, columns, row)
-                if program.fn((row,), scope, evaluator) is True:
-                    matched.append((handle, row))
-            return matched
         for handle, row in pairs:
             scope = Scope()
             scope.bind(table_name, columns, row)

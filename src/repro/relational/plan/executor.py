@@ -37,11 +37,9 @@ from ..compiled import (
     BatchContext,
     batch_program_for,
     layout_of,
-    program_for,
     prune_selection,
     run_batch_filter,
     run_batch_programs,
-    vectorized_enabled,
 )
 from ..expressions import Scope
 from ..types import compare_values
@@ -110,14 +108,10 @@ def execute_source_batched(plan: Any, database: Any, resolver: Any,
         stats.rows_visited += len(combos)
     scopes: list[Any] = []
     for rows, pairs, _ords in combos:
-        # typed Any: ``rows``/``touched_pairs`` ride on the scope object
+        # typed Any: ``touched_pairs`` rides on the scope object
         scope: Any = Scope(parent=outer)
         for (name, columns), row in zip(bindings, rows):
             scope.bind(name, columns, row)
-        # the combination's row tuples, aligned with ``bindings`` — the
-        # compiled projection path indexes these instead of resolving
-        # column names through the scope (see repro.relational.compiled)
-        scope.rows = rows
         if pairs:
             touched = [pair for pair in pairs if pair is not None]
             if touched:
@@ -139,7 +133,6 @@ def scopes_from_batch(bindings: Any, batch: Any, outer: Any,
         row = batch.row(slot)
         scope: Any = Scope(parent=outer)
         scope.bind(name, columns, row)
-        scope.rows = (row,)
         if collect:
             scope.touched_pairs = [(label, handles[slot])]
         scopes.append(scope)
@@ -158,7 +151,7 @@ class _SourceRunner:
         self.outer = outer
         self.collect_handles = collect_handles
         self.stats = stats
-        self.vectorized = vectorized_enabled(database)
+        self.vectorized = getattr(database, "enable_compiled_eval", False)
         #: combinations materialized by join/product nodes (None until
         #: one runs — execute_source falls back to the pipeline output)
         self.visited: Any = None
@@ -373,10 +366,6 @@ class _SourceRunner:
 
     def _run_filter(self, node: Any) -> Any:
         bindings, combos = self.run(node.child)
-        if getattr(self.database, "enable_compiled_eval", False) and combos:
-            kept = self._filter_compiled(node, bindings, combos)
-            node.actual_rows = len(kept)
-            return bindings, kept
         evaluate = self.evaluator.evaluate_predicate
         kept: list[Any] = []
         for combo in combos:
@@ -388,29 +377,6 @@ class _SourceRunner:
                 kept.append(combo)
         node.actual_rows = len(kept)
         return bindings, kept
-
-    def _filter_compiled(self, node: Any, bindings: Any,
-                         combos: Any) -> list[Any]:
-        """The filter loop over compiled predicate programs: column slots
-        resolve at compile time, and the per-row Scope is only built when
-        some predicate contains an interpreter-fallback subtree."""
-        layout = layout_of(bindings)
-        programs = [
-            program_for(self.database, predicate, layout, predicate=True)
-            for predicate in node.predicates
-        ]
-        needs_scope = any(program.needs_scope for program in programs)
-        evaluator = self.evaluator
-        kept: list[Any] = []
-        for combo in combos:
-            rows = combo[0]
-            scope = self._scope_for(bindings, rows) if needs_scope else None
-            for program in programs:
-                if program.fn(rows, scope, evaluator) is not True:
-                    break
-            else:
-                kept.append(combo)
-        return kept
 
     # -- joins ------------------------------------------------------------
 
@@ -575,33 +541,8 @@ class _SourceRunner:
         """A ``rows -> [key values]`` callable for one join side (NULLs
         included; hash parts are tagged by kind at the call site, so
         Python's cross-kind equalities like ``True == 1`` cannot produce
-        matches SQL comparison would reject). With compiled evaluation on,
-        the key expressions compile once per join run; either way the
-        per-combination Scope is only built when actually needed."""
+        matches SQL comparison would reject)."""
         evaluator = self.evaluator
-        if getattr(self.database, "enable_compiled_eval", False):
-            layout = layout_of(bindings)
-            programs = [
-                program_for(self.database, expr, layout)
-                for expr in key_exprs
-            ]
-            if not any(program.needs_scope for program in programs):
-                def compiled_values(rows: Any) -> list[Any]:
-                    return [
-                        program.fn(rows, None, evaluator)
-                        for program in programs
-                    ]
-
-                return compiled_values
-
-            def compiled_values_with_scope(rows: Any) -> list[Any]:
-                scope = self._scope_for(bindings, rows)
-                return [
-                    program.fn(rows, scope, evaluator)
-                    for program in programs
-                ]
-
-            return compiled_values_with_scope
 
         def interpreted_values(rows: Any) -> list[Any]:
             scope = self._scope_for(bindings, rows)

@@ -32,7 +32,6 @@ from .compiled import (
     BatchContext,
     batch_program_for,
     layout_of,
-    program_for,
     run_batch_programs,
 )
 from .expressions import (
@@ -346,9 +345,7 @@ class _SelectExecutor:
     def _product_scopes(bindings, outer):
         """One :class:`Scope` per combination of the FROM tables' rows."""
         if not bindings:
-            scope = Scope(parent=outer)
-            scope.rows = ()
-            return [scope]
+            return [Scope(parent=outer)]
         scopes = []
         combination = [None] * len(bindings)
         touched = [None] * len(bindings)
@@ -358,9 +355,6 @@ class _SelectExecutor:
                 scope = Scope(parent=outer)
                 for (name, columns, _, _), row in zip(bindings, combination):
                     scope.bind(name, columns, row)
-                # aligned row tuples for the compiled projection path
-                # (same contract as the plan executor's scopes)
-                scope.rows = tuple(combination)
                 pairs = [pair for pair in touched if pair is not None]
                 if pairs:
                     scope.touched_pairs = pairs
@@ -429,10 +423,6 @@ class _SelectExecutor:
     def _project_plain(self, select, scopes, bindings):
         items = self._expand_items(select, bindings)
         columns = [self._output_name(item, i) for i, item in enumerate(items)]
-        if getattr(self.database, "enable_compiled_eval", False) and scopes:
-            return columns, self._project_plain_compiled(
-                select, scopes, bindings, items
-            )
         projected = []
         for scope in scopes:
             row = tuple(
@@ -441,41 +431,6 @@ class _SelectExecutor:
             keys = self._order_keys(select, scope)
             projected.append((row, keys))
         return columns, projected
-
-    def _project_plain_compiled(self, select, scopes, bindings, items):
-        """Projection through compiled item/order programs. The scopes are
-        materialized either way (subquery fallbacks and the §5.1 handle
-        tracking need them), so programs get both the aligned row tuples
-        and the scope — column slots index the former, fallback subtrees
-        resolve through the latter."""
-        layout = layout_of(bindings)
-        database = self.database
-        evaluator = self.evaluator
-        item_programs = [
-            program_for(database, item.expression, layout) for item in items
-        ]
-        order_programs = [
-            program_for(database, order.expression, layout)
-            for order in select.order_by
-        ]
-        descending = [order.descending for order in select.order_by]
-        projected = []
-        for scope in scopes:
-            rows = scope.rows
-            row = tuple(
-                program.fn(rows, scope, evaluator)
-                for program in item_programs
-            )
-            if order_programs:
-                keys = []
-                for program, desc in zip(order_programs, descending):
-                    key = sort_key(program.fn(rows, scope, evaluator))
-                    keys.append(_Reversed(key) if desc else key)
-                keys = tuple(keys)
-            else:
-                keys = ()
-            projected.append((row, keys))
-        return projected
 
     def _batch_context(self, bindings, batch, outer):
         """A kernel context for projection/grouping over a surviving
@@ -562,22 +517,6 @@ class _SelectExecutor:
                     raise err
                 for p, scope in enumerate(scopes):
                     key = tuple(values[p] for values in key_lists)
-                    groups.setdefault(key, []).append(scope)
-            elif getattr(self.database, "enable_compiled_eval", False) and scopes:
-                # grouping keys are per-input-row expressions, so they
-                # compile like filter predicates; the aggregate items
-                # below stay interpreted (they need the GroupScope)
-                layout = layout_of(bindings)
-                programs = [
-                    program_for(self.database, expr, layout)
-                    for expr in select.group_by
-                ]
-                for scope in scopes:
-                    rows = scope.rows
-                    key = tuple(
-                        program.fn(rows, scope, self.evaluator)
-                        for program in programs
-                    )
                     groups.setdefault(key, []).append(scope)
             else:
                 for scope in scopes:

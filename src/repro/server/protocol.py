@@ -16,7 +16,8 @@ Responses are single-line JSON objects::
     {"ok": false, "code": "conflict", "error": "..."}
 
 Error codes: ``conflict`` (serialization conflict — retry the
-transaction), ``parse``, ``transaction`` (misuse: commit without begin,
+transaction), ``parse`` (including request lines longer than
+:data:`MAX_REQUEST_BYTES`), ``transaction`` (misuse: commit without begin,
 …), ``execution``, ``internal``. Conflicts on auto-commit statements
 are retried server-side (the coordinator's retry contract) and only
 surface after ``max_retries`` wholesale re-runs.
@@ -33,6 +34,10 @@ from ..errors import (
     SqlError,
     TransactionError,
 )
+
+#: the longest request line the server reads, newline included; a
+#: longer one is discarded and answered with a ``parse`` error
+MAX_REQUEST_BYTES = 64 * 1024
 
 #: commands a client may send (leading backslash stripped)
 COMMANDS = (

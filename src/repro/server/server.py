@@ -14,6 +14,11 @@ committed awaits a shared flush future; the first committer in a tick
 schedules one ``call_soon`` callback that fsyncs once for the whole
 batch, and only then are the acknowledgements written — a commit is
 never acked before its WAL record is durable.
+
+Shutdown (:meth:`RuleServer.stop`) stops accepting, cancels every
+connection handler and waits for each to close its session — an open
+explicit transaction is aborted, as on a client disconnect — and then
+flushes group commit.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ class RuleServer:
             manager.group_commit = True
         self._server = None
         self._flush_future = None
+        #: the running connection-handler tasks (see :meth:`stop`)
+        self._handlers = set()
         self.connections = 0
 
     @property
@@ -65,7 +72,8 @@ class RuleServer:
 
     async def start(self):
         self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port,
+            limit=protocol.MAX_REQUEST_BYTES,
         )
         return self.address
 
@@ -76,8 +84,23 @@ class RuleServer:
             await self._server.serve_forever()
 
     async def stop(self):
+        """Stop accepting, abort every open session, flush the WAL.
+
+        Each handler is cancelled and awaited, so its cleanup runs
+        ``coordinator.close_session`` (rolling back an open explicit
+        transaction) and closes the connection before the loop goes
+        away.
+        """
         if self._server is not None:
             self._server.close()
+        handlers = [
+            task for task in self._handlers
+            if task is not asyncio.current_task()
+        ]
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         manager = self.system.durability
@@ -90,9 +113,24 @@ class RuleServer:
     async def _handle_client(self, reader, writer):
         session = self.coordinator.open_session()
         self.connections += 1
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    line = exc.partial  # EOF: a last unterminated line
+                except asyncio.LimitOverrunError as exc:
+                    if not await _skip_line(reader, exc.consumed):
+                        break
+                    writer.write(protocol.encode_response(
+                        {"ok": False, "code": "parse",
+                         "error": "request line exceeds the "
+                                  f"{protocol.MAX_REQUEST_BYTES}-byte limit"}
+                    ))
+                    await writer.drain()
+                    continue
                 if not line:
                     break
                 try:
@@ -111,7 +149,12 @@ class RuleServer:
                     break
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # stop() ends the session; returning normally keeps asyncio's
+            # stream callback from logging the cancellation as an error
+            pass
         finally:
+            self._handlers.discard(task)
             self.coordinator.close_session(session)
             writer.close()
             try:
@@ -193,6 +236,20 @@ class RuleServer:
             future.set_exception(exc)
         else:
             future.set_result(None)
+
+
+async def _skip_line(reader, consumed):
+    """Discard an over-limit request through its newline, ``consumed``
+    bytes of it being already buffered. Returns False at EOF."""
+    while True:
+        try:
+            await reader.readexactly(consumed)
+            await reader.readuntil(b"\n")
+            return True
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
+        except asyncio.IncompleteReadError:
+            return False
 
 
 def serve(system, host="127.0.0.1", port=7432, **kwargs):

@@ -9,11 +9,11 @@ order, so the oracle replays exactly the committed transactions, in
 commit order, on a fresh database and demands bit-identical table
 contents.
 
-The matrix runs every seed with the incremental layer and the
-vectorized layer each on and off (4 configurations), because the
-concurrency machinery context-switches *around* both: suspended
-transactions must not leave stale support counters or batch caches
-behind. 50 seeds × 4 configs = 200 generated schedules, comfortably
+The matrix runs every seed with the incremental layer and compiled
+(batch-kernel) evaluation each on and off (4 configurations; ``vec``
+in the ids marks compiled evaluation on), because the concurrency
+machinery context-switches *around* both: suspended transactions must
+not leave stale support counters or batch caches behind. 50 seeds × 4 configs = 200 generated schedules, comfortably
 past the acceptance floor, and the workload generator guarantees rule
 cascades write tables concurrent transactions read.
 """
@@ -50,10 +50,10 @@ RULES = [
 SEED_NAMES = ("a0", "a1", "a2")
 
 
-def build(incremental, vectorized):
+def build(incremental, compiled):
     db = ActiveDatabase()
     db.database.enable_incremental_eval = incremental
-    db.database.enable_vectorized_eval = vectorized
+    db.database.enable_compiled_eval = compiled
     for statement in SCHEMA:
         db.execute(statement)
     db.execute(
@@ -161,9 +161,9 @@ class _Runner:
         self.begun = False
 
 
-def run_concurrent(seed, incremental, vectorized):
+def run_concurrent(seed, incremental, compiled):
     rng = random.Random(seed)
-    db = build(incremental, vectorized)
+    db = build(incremental, compiled)
     coordinator = TransactionCoordinator(db)
     scripts = generate_scripts(rng)
     runners = [
@@ -178,10 +178,10 @@ def run_concurrent(seed, incremental, vectorized):
     return db, committed_log, coordinator
 
 
-def replay_serial(committed_log, incremental, vectorized):
+def replay_serial(committed_log, incremental, compiled):
     """The oracle: committed transactions, in commit order, no
     concurrency anywhere."""
-    db = build(incremental, vectorized)
+    db = build(incremental, compiled)
     for statements in committed_log:
         if len(statements) == 1:
             db.execute(statements[0])
@@ -213,15 +213,15 @@ CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("incremental,vectorized", CONFIGS)
+@pytest.mark.parametrize("incremental,compiled", CONFIGS)
 @pytest.mark.parametrize("seed", range(50))
 def test_committed_state_is_some_serial_schedule(
-    seed, incremental, vectorized
+    seed, incremental, compiled
 ):
     db, committed_log, coordinator = run_concurrent(
-        seed, incremental, vectorized
+        seed, incremental, compiled
     )
-    oracle = replay_serial(committed_log, incremental, vectorized)
+    oracle = replay_serial(committed_log, incremental, compiled)
     assert table_state(db) == table_state(oracle), (
         f"seed {seed}: concurrent execution is not equivalent to the "
         f"commit-order serial schedule ({len(committed_log)} committed "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 import threading
 import time
@@ -12,7 +13,11 @@ import pytest
 from repro import ActiveDatabase
 from repro.errors import ConflictError, ParseError, TransactionError
 from repro.server import RuleServer, connect
-from repro.server.protocol import parse_request, render_result
+from repro.server.protocol import (
+    MAX_REQUEST_BYTES,
+    parse_request,
+    render_result,
+)
 
 
 class ServerFixture:
@@ -45,6 +50,8 @@ class ServerFixture:
         ).result(10)
         self.loop.call_soon_threadsafe(self.loop.stop)
         self.thread.join(10)
+        assert not self.thread.is_alive()
+        self.loop.close()
 
 
 @pytest.fixture
@@ -179,6 +186,27 @@ class TestServerBasics:
             assert other.stats()["server"]["aborts"] > aborts_before
             assert other.query("select count(*) from t") == [[0]]
 
+    def test_stop_aborts_open_sessions(self, caplog):
+        fixture = ServerFixture()
+        with fixture.client() as setup:
+            setup.execute("create table t (v float)")
+        client = fixture.client()
+        client.begin()
+        client.execute("insert into t values (1)")
+        aborts_before = client.stats()["server"]["aborts"]
+        fixture.stop()
+        server = fixture.system.stats()["server"]
+        assert server["sessions_open"] == 0
+        assert server["aborts"] > aborts_before
+        assert not fixture.server._handlers
+        # the session's connection was closed, not left dangling
+        assert client._file.readline() == b""
+        client._file.close()
+        client._sock.close()
+        assert fixture.system.rows("select count(*) from t") == [(0,)]
+        # the handlers finished cleanly: no cancellation traceback logged
+        assert not [r for r in caplog.records if r.levelname == "ERROR"]
+
     def test_multiline_statements_fold_to_one_line(self, served):
         with served.client() as client:
             client.execute("create table t (v float)")
@@ -310,5 +338,32 @@ class TestRawSocket:
             assert b'"ok":false' in reader.readline()
             sock.sendall(b"\\ping\n")
             assert b"pong" in reader.readline()
+            sock.sendall(b"\\quit\n")
+            assert b"bye" in reader.readline()
+
+    def test_oversized_request_gets_a_parse_error(self, served):
+        """A request line over the limit is discarded through its
+        newline and answered; the connection and its session live on."""
+        oversized = b"select " + b"x" * (MAX_REQUEST_BYTES + 100)
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"\\begin\n")
+            assert b"begun" in reader.readline()
+            # whole line in one send, then split with a pause, so the
+            # limit trips both before and after the newline arrives
+            sends = [[oversized + b"\n"], [oversized, b"\n"]]
+            for chunks in sends:
+                for chunk in chunks:
+                    sock.sendall(chunk)
+                    time.sleep(0.05)
+                reply = json.loads(reader.readline())
+                assert reply["ok"] is False
+                assert reply["code"] == "parse"
+                assert str(MAX_REQUEST_BYTES) in reply["error"]
+                # nothing of the discarded line is read as a request
+                sock.sendall(b"\\ping\n")
+                assert b"pong" in reader.readline()
+            sock.sendall(b"\\session\n")
+            assert b'"in_transaction":true' in reader.readline()
             sock.sendall(b"\\quit\n")
             assert b"bye" in reader.readline()

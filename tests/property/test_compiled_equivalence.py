@@ -1,24 +1,33 @@
-"""Differential property test: compiled evaluation ≡ interpretation.
+"""Differential property test: compiled evaluation ≡ interpretation, where
+the compiled path hands work back to the interpreter.
 
-The compiled-evaluation invariance guarantee (docs/semantics.md §10): for
-every expression and every row combination, a compiled program returns
-exactly the value — or raises exactly the error — the interpreter would.
-These tests generate random expression ASTs (arithmetic, comparisons,
-AND/OR/NOT, LIKE, IN-lists, BETWEEN, CASE, scalar functions, NULLs and
-mistyped operands included) over random rows and require identical
-outcomes from both paths, in both expression and predicate position.
+The compiled-evaluation invariance guarantee (docs/semantics.md §10) also
+covers the seams between the batch kernels and the interpreter. A batch
+program over a single-binding layout compiles the references it can
+resolve to column slots and runs everything else — references into an
+enclosing query's scope, unknown names — through the interpreter row by
+row. The kernel-level tests here bind the batch rows under an *outer*
+scope whose columns overlap the inner binding's (``b`` is in both, so
+unqualified ``b`` must resolve innermost-first), generate random
+expression ASTs mixing inner slots with outer references, and require
+identical values and the identical first error from both paths, in
+both expression and predicate position.
 
-A second group runs whole SELECTs and rule transactions with the layer
-enabled and disabled, covering the plan-executor, projection, DML WHERE
-and rule-condition call sites end to end.
+The statement-level tests run shapes whose compiled evaluation mixes
+kernels with interpreter fallbacks — correlated and scalar subqueries,
+grouped joins, rules over ``deleted`` and ``updated`` transition tables
+with aggregate conditions — with ``enable_compiled_eval`` on and off.
+``test_vectorized_equivalence.py`` covers the purely in-layout shapes.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
+from repro.relational.batch import Batch
 from repro.relational.compiled import (
-    compile_expression,
-    compile_predicate,
+    BatchContext,
+    compile_batch_expression,
+    compile_batch_predicate,
 )
 from repro.relational.database import Database
 from repro.relational.expressions import Evaluator, Scope
@@ -26,9 +35,11 @@ from repro.relational.select import BaseTableResolver, evaluate_select
 from repro.sql import ast
 from repro.sql.parser import parse_select
 
-# Layout under test: two bindings whose column sets overlap on "b" (so
-# unqualified "b" is ambiguous), with a string column for LIKE.
-LAYOUT = (("x", ("a", "b", "s")), ("y", ("b", "d")))
+# Inner binding compiled to slots; the outer binding is only reachable
+# through the enclosing scope (a correlated subquery's view of it).
+LAYOUT = (("x", ("a", "b", "s")),)
+COLUMNS = ("a", "b", "s")
+OUTER_COLUMNS = ("b", "d")
 
 literals = st.one_of(
     st.none(),
@@ -43,14 +54,15 @@ column_refs = st.sampled_from(
         ast.ColumnRef("a", "x"),
         ast.ColumnRef("b", "x"),
         ast.ColumnRef("s", "x"),
-        ast.ColumnRef("b", "y"),
+        ast.ColumnRef("b", "y"),  # outer, qualified
         ast.ColumnRef("d", "y"),
         ast.ColumnRef("a"),
-        ast.ColumnRef("b"),  # ambiguous
-        ast.ColumnRef("s"),
-        ast.ColumnRef("d"),
-        ast.ColumnRef("nosuch"),  # unresolvable -> interpreter error
-        ast.ColumnRef("nosuch", "x"),  # qualifier ok, column missing
+        ast.ColumnRef("b"),  # in both scopes: the inner one wins
+        ast.ColumnRef("d"),  # outer, unqualified
+        ast.ColumnRef("nosuch"),  # unresolvable anywhere
+        ast.ColumnRef("nosuch", "x"),  # inner qualifier, column missing
+        ast.ColumnRef("nosuch", "y"),  # outer qualifier, column missing
+        ast.ColumnRef("a", "z"),  # unknown qualifier
     ]
 )
 
@@ -106,16 +118,8 @@ cell = st.one_of(
     st.sampled_from([1.5, -0.5]),
     st.sampled_from(["", "ab", "abc", "zzz"]),
 )
-row_pairs = st.tuples(st.tuples(cell, cell, cell), st.tuples(cell, cell))
-
-
-def outcome(fn):
-    """``("value", v)`` or ``("error", type, message)`` — errors count as
-    part of the semantics and must match exactly across both paths."""
-    try:
-        return ("value", fn())
-    except ReproError as error:
-        return ("error", type(error).__name__, str(error))
+row_sets = st.lists(st.tuples(cell, cell, cell), max_size=8)
+outer_rows = st.tuples(cell, cell)
 
 
 def fresh_evaluator():
@@ -123,49 +127,92 @@ def fresh_evaluator():
     return Evaluator(database, BaseTableResolver(database))
 
 
-def scope_for(rows):
-    scope = Scope()
-    for (name, columns), row in zip(LAYOUT, rows):
-        scope.bind(name, columns, row)
+def inner_scope(outer, row):
+    scope = Scope(parent=outer)
+    scope.bind("x", COLUMNS, row)
     return scope
 
 
-class TestCompiledEquivalence:
-    @given(expressions, row_pairs)
-    @settings(max_examples=300, deadline=None)
-    def test_expression_value_parity(self, expression, rows):
-        evaluator = fresh_evaluator()
-        scope = scope_for(rows)
-        interpreted = outcome(lambda: evaluator.evaluate(expression, scope))
-        program = compile_expression(expression, LAYOUT)
-        compiled = outcome(
-            lambda: program.run(rows, scope, evaluator)
-        )
-        assert compiled == interpreted, expression
+def outer_scope(outer_row):
+    scope = Scope()
+    scope.bind("y", OUTER_COLUMNS, outer_row)
+    return scope
 
-    @given(expressions, row_pairs)
+
+def row_outcomes(expression, rows, outer, evaluator, predicate):
+    """Per-row interpretation truncated at the first error — the shape a
+    batch program must reproduce: (values-prefix, error-or-None)."""
+    values = []
+    for row in rows:
+        scope = inner_scope(outer, row)
+        try:
+            if predicate:
+                values.append(
+                    evaluator.evaluate_predicate(expression, scope)
+                )
+            else:
+                values.append(evaluator.evaluate(expression, scope))
+        except ReproError as error:
+            return values, error
+    return values, None
+
+
+def batch_outcomes(expression, rows, outer, evaluator, predicate):
+    batch = Batch.from_rows(list(rows), len(COLUMNS))
+    row_of = batch.row
+    ctx = BatchContext(
+        batch.cols,
+        lambda slot: inner_scope(outer, row_of(slot)),
+        evaluator,
+    )
+    if predicate:
+        program = compile_batch_predicate(expression, LAYOUT)
+    else:
+        program = compile_batch_expression(expression, LAYOUT)
+    return program.fn(ctx, batch.sel)
+
+
+def describe(error):
+    if error is None:
+        return None
+    return (type(error).__name__, str(error))
+
+
+class TestCompiledEquivalence:
+    @given(expressions, row_sets, outer_rows)
     @settings(max_examples=300, deadline=None)
-    def test_predicate_parity(self, expression, rows):
+    def test_expression_value_parity(self, expression, rows, outer_row):
         evaluator = fresh_evaluator()
-        scope = scope_for(rows)
-        interpreted = outcome(
-            lambda: evaluator.evaluate_predicate(expression, scope)
+        outer = outer_scope(outer_row)
+        expected, row_err = row_outcomes(
+            expression, rows, outer, evaluator, predicate=False
         )
-        program = compile_predicate(expression, LAYOUT)
-        compiled = outcome(
-            lambda: program.run(rows, scope, evaluator)
+        values, err = batch_outcomes(
+            expression, rows, outer, evaluator, predicate=False
         )
-        assert compiled == interpreted, expression
-        if interpreted[0] == "value":
-            assert compiled[1] in (True, False, None)
+        assert values == expected, expression
+        assert describe(err) == describe(row_err), expression
+
+    @given(expressions, row_sets, outer_rows)
+    @settings(max_examples=300, deadline=None)
+    def test_predicate_parity(self, expression, rows, outer_row):
+        evaluator = fresh_evaluator()
+        outer = outer_scope(outer_row)
+        expected, row_err = row_outcomes(
+            expression, rows, outer, evaluator, predicate=True
+        )
+        values, err = batch_outcomes(
+            expression, rows, outer, evaluator, predicate=True
+        )
+        assert values == expected, expression
+        assert describe(err) == describe(row_err), expression
+        for value in values:
+            assert value in (True, False, None)
 
 
 # ---------------------------------------------------------------------------
 # end-to-end: whole statements with the layer toggled
 
-
-T1_COLUMNS = ("a", "b", "s")
-T2_COLUMNS = ("b", "d")
 
 int_values = st.one_of(st.none(), st.integers(min_value=-3, max_value=3))
 str_values = st.one_of(st.none(), st.sampled_from(["ab", "abc", "zz"]))
@@ -177,29 +224,44 @@ t2_rows = st.lists(st.tuples(int_values, int_values), max_size=7)
 
 @st.composite
 def select_queries(draw):
+    """Selects whose compiled evaluation crosses into the interpreter:
+    correlated filters, scalar subqueries in the select list, IN over a
+    subquery, and grouped joins."""
     conjuncts = draw(
         st.lists(
             st.sampled_from(
                 [
                     "x.a = 1",
                     "x.b > 0",
-                    "x.a + x.b < 3",
-                    "x.s like 'a%'",
-                    "x.a in (1, 2, y.d)",
-                    "x.a = y.b",
-                    "x.b between 0 and y.d",
-                    "exists (select * from t2 where t2.d = x.a)",
+                    "exists (select * from t2 y where y.d = x.a"
+                    " and y.b > x.b)",
+                    "not exists (select * from t2 where t2.b = x.b)",
+                    "x.a in (select d from t2 where t2.b <> x.b)",
+                    "x.b > (select min(d) from t2)",
+                    "x.a = (select max(b) from t2 where t2.d = x.a)",
                 ]
             ),
             max_size=3,
         )
     )
     where = " where " + " and ".join(conjuncts) if conjuncts else ""
-    items = draw(
-        st.sampled_from(["*", "x.a, x.b + y.d", "upper(x.s), y.*"])
+    shape = draw(st.sampled_from(["plain", "scalar", "grouped"]))
+    if shape == "grouped":
+        having = draw(st.sampled_from(["", " having count(*) > 1"]))
+        join_where = (
+            " where x.a = y.b" + where.replace(" where ", " and ", 1)
+            if where else " where x.a = y.b"
+        )
+        return (
+            "select x.b, count(*), sum(y.d) from t1 x, t2 y"
+            f"{join_where} group by x.b{having}"
+        )
+    items = (
+        "x.a, (select count(*) from t2 where t2.b = x.a)"
+        if shape == "scalar" else "x.a, x.b + 1, upper(x.s)"
     )
     order = draw(st.sampled_from(["", " order by x.a, x.b desc"]))
-    return f"select {items} from t1 x, t2 y{where}{order}"
+    return f"select {items} from t1 x{where}{order}"
 
 
 def build_database(rows1, rows2):
@@ -225,12 +287,22 @@ def run_both_modes(db, sql):
         except ReproError as error:
             return ("error", type(error).__name__, str(error))
 
+    # set both ways explicitly, so the comparison stays non-vacuous when
+    # the CI oracle rerun exports REPRO_COMPILED_EVAL=0
     db.enable_compiled_eval = True
     compiled = run()
     db.enable_compiled_eval = False
     interpreted = run()
-    db.enable_compiled_eval = True
     assert compiled == interpreted, sql
+
+
+def sql_values(row):
+    return ", ".join(
+        "null" if v is None
+        else f"'{v}'" if isinstance(v, str)
+        else str(v)
+        for v in row
+    )
 
 
 class TestStatementEquivalence:
@@ -245,9 +317,9 @@ class TestStatementEquivalence:
     def test_rule_transaction_compiled_equals_interpreted(
         self, rows1, threshold
     ):
-        """The same rule workload must reach the same final state and
-        firing count with the layer on and off (conditions, actions and
-        DML WHERE all run through their compiled call sites)."""
+        """A rule workload over ``deleted`` and ``updated`` transition
+        tables, with aggregate and correlated conditions, must reach the
+        same final state and firing count with the layer on and off."""
         from repro import ActiveDatabase
 
         outcomes = []
@@ -257,28 +329,37 @@ class TestStatementEquivalence:
             db.execute(
                 "create table t1 (a integer, b integer, s varchar)"
             )
-            db.execute("create table log (a integer)")
+            db.execute("create table log (a integer, tag varchar)")
             db.execute(
-                "create rule audit when inserted into t1 "
-                f"if exists (select * from inserted t1 where a > {threshold}"
-                " and s like 'a%') "
-                "then insert into log (select a from inserted t1 "
+                "create rule on_del when deleted from t1 "
+                "if (select count(*) from deleted t1 "
+                f"where a > {threshold}) > 0 "
+                "then insert into log (select a, 'del' from deleted t1 "
                 f"where a > {threshold})"
             )
             db.execute(
-                "create rule cap when inserted into log "
-                "if exists (select * from log where a > 2) "
-                "then update log set a = 2 where a > 2"
+                "create rule on_upd when updated t1.b "
+                "if exists (select * from new updated t1.b n "
+                "where n.b > (select min(b) from t1)) "
+                "then insert into log (select a, s from new updated t1.b "
+                "where s like 'a%' or s is null)"
+            )
+            db.execute(
+                "create rule trim when inserted into log "
+                "if exists (select * from log l where l.a > "
+                "(select max(a) from t1)) "
+                "then delete from log where a > (select max(a) from t1)"
             )
             fired = 0
             for row in rows1:
-                values = ", ".join(
-                    "null" if v is None
-                    else f"'{v}'" if isinstance(v, str)
-                    else str(v)
-                    for v in row
+                result = db.execute(
+                    f"insert into t1 values ({sql_values(row)})"
                 )
-                result = db.execute(f"insert into t1 values ({values})")
                 fired += result.rule_firings
+            for statement in (
+                f"update t1 set b = b + 1 where a <= {threshold}",
+                f"delete from t1 where b > {threshold}",
+            ):
+                fired += db.execute(statement).rule_firings
             outcomes.append((fired, db.database.snapshot()))
         assert outcomes[0] == outcomes[1]

@@ -11,13 +11,13 @@ The witness contract the typed-kernel layer relies on:
   exactly (``"?"`` marks a provably-NULL node, so a non-NULL value
   there is a soundness bug).
 
-Random expressions are drawn from the same grammar the compiled- and
-vectorized-equivalence suites use — including *mistyped* operands, since
+Random expressions are drawn from the same grammar the
+vectorized-equivalence suite uses — including *mistyped* operands, since
 soundness must hold on ill-typed programs too (their witnesses just
 must not claim totality). A second group checks the consumer end to
 end: typed batch kernels agree with generic kernels and the row
 interpreter on values *and* errors, and whole rule transactions fire
-the same rule sequences under every vectorized / incremental / typed
+the same rule sequences under every compiled / incremental / typed
 on-off configuration.
 """
 
@@ -283,18 +283,18 @@ QUERIES = [
 ]
 
 CONFIGS = [
-    {"typed": True, "vectorized": True, "incremental": True},
-    {"typed": False, "vectorized": True, "incremental": True},
-    {"typed": True, "vectorized": False, "incremental": True},
-    {"typed": True, "vectorized": True, "incremental": False},
-    {"typed": False, "vectorized": False, "incremental": False},
+    {"typed": True, "compiled": True, "incremental": True},
+    {"typed": False, "compiled": True, "incremental": True},
+    {"typed": True, "compiled": False, "incremental": True},
+    {"typed": True, "compiled": True, "incremental": False},
+    {"typed": False, "compiled": False, "incremental": False},
 ]
 
 
 def run_scenario(config):
     adb = ActiveDatabase()
     adb.database.enable_typed_kernels = config["typed"]
-    adb.database.enable_vectorized_eval = config["vectorized"]
+    adb.database.enable_compiled_eval = config["compiled"]
     adb.database.enable_incremental_eval = config["incremental"]
     for statement in SCENARIO:
         adb.execute(statement)
@@ -322,11 +322,10 @@ class TestConfigurationDifferential:
 
     def test_typed_kernels_actually_engaged(self):
         adb = ActiveDatabase()
-        # typed kernels ride on the compiled + vectorized layers; force
-        # all three on so this check holds under the CI env matrix that
-        # disables the lower layers (REPRO_COMPILED_EVAL=0 etc.)
+        # typed kernels ride on compiled evaluation; force both on so
+        # this check holds under the CI env matrix that disables the
+        # lower layer (REPRO_COMPILED_EVAL=0 etc.)
         adb.database.enable_compiled_eval = True
-        adb.database.enable_vectorized_eval = True
         adb.database.enable_typed_kernels = True
         for statement in SCENARIO:
             adb.execute(statement)

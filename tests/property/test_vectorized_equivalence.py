@@ -1,16 +1,20 @@
-"""Differential property test: vectorized evaluation ≡ row evaluation.
+"""Differential property test: compiled (batch-kernel) evaluation ≡
+the interpreter.
 
-The vectorized-evaluation invariance guarantee (docs/semantics.md §13):
-for every expression and every row set, a batch kernel produces exactly
-the per-row values — and exactly the first error, at the first failing
-row in scan order — that row-at-a-time evaluation would. These tests
-generate random single-binding expression ASTs over random row batches
-and require identical outcomes from both paths, in both expression and
-predicate position.
+The compiled-evaluation invariance guarantee (docs/semantics.md §10,
+§13): for every expression and every row set, a batch kernel produces
+exactly the per-row values — and exactly the first error, at the first
+failing row in scan order — that the interpreter would, evaluating row
+by row. The kernel-level tests generate random single-binding
+expression ASTs (arithmetic, comparisons, AND/OR/NOT, LIKE, IN-lists,
+BETWEEN, CASE, scalar functions, NULLs and mistyped operands included)
+over random row batches and require identical outcomes from both
+paths, in both expression and predicate position.
 
-A second group runs whole SELECTs, DML statements and rule transactions
-with the layer enabled and disabled, covering the plan-executor scan/
-filter/projection path, DML WHERE targeting and rule-condition
+The statement-level tests run whole SELECTs (joins included), DML
+statements and rule transactions with ``enable_compiled_eval`` on and
+off, covering the plan-executor scan/filter/projection path, join keys
+and join-product filters, DML WHERE targeting and rule-condition
 evaluation over transition tables end to end.
 """
 
@@ -213,6 +217,8 @@ def select_queries(draw):
                     "x.a = y.b",
                     "x.b between 0 and y.d",
                     "exists (select * from t2 where t2.d = x.a)",
+                    "d = 1",  # unqualified, resolves in y
+                    "b > 0",  # unqualified, ambiguous: x.b or y.b
                 ]
             ),
             max_size=3,
@@ -264,9 +270,6 @@ def single_table_queries(draw):
 
 def build_database(rows1, rows2):
     db = Database()
-    # keep the comparison non-vacuous when the CI oracle rerun exports
-    # REPRO_COMPILED_EVAL=0 (vectorization layers on compiled eval)
-    db.enable_compiled_eval = True
     db.create_table(
         "t1", [("a", "integer"), ("b", "integer"), ("s", "varchar")]
     )
@@ -288,12 +291,13 @@ def run_both_modes(db, sql):
         except ReproError as error:
             return ("error", type(error).__name__, str(error))
 
-    db.enable_vectorized_eval = True
-    vectorized = run()
-    db.enable_vectorized_eval = False
-    row_mode = run()
-    db.enable_vectorized_eval = True
-    assert vectorized == row_mode, sql
+    # set both ways explicitly, so the comparison stays non-vacuous when
+    # the CI oracle rerun exports REPRO_COMPILED_EVAL=0
+    db.enable_compiled_eval = True
+    compiled = run()
+    db.enable_compiled_eval = False
+    interpreted = run()
+    assert compiled == interpreted, sql
 
 
 class TestStatementEquivalence:
@@ -315,14 +319,13 @@ class TestStatementEquivalence:
         """The same rule workload must fire identically and reach the
         same final snapshot with the layer on and off (conditions over
         transition tables, actions, and DML WHERE all run through their
-        vectorized call sites)."""
+        compiled call sites)."""
         from repro import ActiveDatabase
 
         outcomes = []
-        for vectorized in (True, False):
+        for compiled in (True, False):
             db = ActiveDatabase(record_seen=False)
-            db.database.enable_compiled_eval = True
-            db.database.enable_vectorized_eval = vectorized
+            db.database.enable_compiled_eval = compiled
             db.execute(
                 "create table t1 (a integer, b integer, s varchar)"
             )
@@ -365,10 +368,9 @@ class TestStatementEquivalence:
         from repro import ActiveDatabase
 
         snapshots = []
-        for vectorized in (True, False):
+        for compiled in (True, False):
             db = ActiveDatabase(record_seen=False)
-            db.database.enable_compiled_eval = True
-            db.database.enable_vectorized_eval = vectorized
+            db.database.enable_compiled_eval = compiled
             db.execute(
                 "create table t1 (a integer, b integer, s varchar)"
             )

@@ -1,28 +1,32 @@
 """Unit tests for the compiled-expression layer (repro.relational.compiled).
 
 The differential/property suites assert compiled ≡ interpreted wholesale;
-these tests pin the layer's mechanics: slot resolution, error parity and
-laziness, fallback classification, cache behaviour against the schema
-version, the environment gate, and the memoized LIKE pattern compiler.
+these tests pin the layer's mechanics on batch programs: slot
+resolution, error parity and laziness, fallback classification, cache
+behaviour against the schema version, the environment gate, and the
+memoized LIKE pattern compiler.
 """
 
 import pytest
 
 from repro.errors import ExecutionError
+from repro.relational.batch import Batch
 from repro.relational.compiled import (
+    BatchContext,
     CompiledCache,
     CompilerStats,
-    compile_expression,
-    compile_predicate,
-    layout_of,
-    program_for,
+    batch_program_for,
+    compile_batch_expression,
+    compile_batch_predicate,
 )
 from repro.relational.database import Database
 from repro.relational.expressions import Evaluator, Scope, _like_to_regex
-from repro.relational.select import BaseTableResolver
-from repro.sql.parser import parse_expression
+from repro.relational.select import BaseTableResolver, evaluate_select
+from repro.sql.parser import parse_expression, parse_select
 
-LAYOUT = (("emp", ("name", "salary", "dept_no")),)
+COLUMNS = ("name", "salary", "dept_no")
+LAYOUT = (("emp", COLUMNS),)
+CAROL = ("carol", 900, 2)
 
 
 def evaluator_for(database=None):
@@ -30,61 +34,112 @@ def evaluator_for(database=None):
     return Evaluator(database, BaseTableResolver(database))
 
 
-def run(program, rows, scope=None, evaluator=None):
-    return program.run(rows, scope, evaluator)
+def run(program, rows, evaluator=None, outer=None, layout=LAYOUT):
+    """Run a batch program over ``rows``; returns ``(values, err)``.
+    Fallback kernels get a per-row Scope chained to ``outer``."""
+    (binding, columns), = layout
+    batch = Batch.from_rows(list(rows), len(columns))
+
+    def scope_for(slot):
+        scope = Scope(parent=outer)
+        scope.bind(binding, columns, batch.row(slot))
+        return scope
+
+    ctx = BatchContext(batch.cols, scope_for, evaluator)
+    return program.fn(ctx, batch.sel)
+
+
+def interpreted_error(node, row, predicate=False):
+    scope = Scope()
+    scope.bind("emp", COLUMNS, row)
+    evaluate = evaluator_for().evaluate_predicate if predicate else (
+        evaluator_for().evaluate
+    )
+    with pytest.raises(ExecutionError) as info:
+        evaluate(node, scope)
+    return str(info.value)
+
+
+def both_modes(database, sql):
+    """``("value", rows)`` or ``("error", message)`` with compiled
+    evaluation on, then off — the pair must agree."""
+    select = parse_select(sql)
+    outcomes = []
+    for compiled in (True, False):
+        database.enable_compiled_eval = compiled
+        try:
+            outcomes.append(("value", evaluate_select(database, select).rows))
+        except ExecutionError as error:
+            outcomes.append(("error", str(error)))
+    return outcomes
 
 
 class TestSlotResolution:
     def test_qualified_ref_reads_tuple_slot(self):
-        program = compile_expression(parse_expression("emp.salary"), LAYOUT)
-        assert run(program, (("carol", 900, 2),)) == 900
+        program = compile_batch_expression(
+            parse_expression("emp.salary"), LAYOUT
+        )
+        assert run(program, [CAROL, ("dave", 300, 1)]) == ([900, 300], None)
         assert not program.needs_scope
         assert program.nodes_fallback == 0
 
     def test_unqualified_ref_reads_tuple_slot(self):
-        program = compile_expression(parse_expression("dept_no"), LAYOUT)
-        assert run(program, (("carol", 900, 2),)) == 2
+        program = compile_batch_expression(parse_expression("dept_no"), LAYOUT)
+        assert run(program, [CAROL]) == ([2], None)
 
     def test_multi_binding_layout(self):
+        """Join products are not batched: the batch compiler refuses a
+        two-binding layout, and the product's expressions run through
+        the interpreter with compiled evaluation on or off."""
         layout = (("e", ("a", "b")), ("d", ("c",)))
-        program = compile_expression(parse_expression("e.b + d.c"), layout)
-        assert run(program, ((1, 2), (30,))) == 32
+        with pytest.raises(ValueError):
+            compile_batch_expression(parse_expression("e.b + d.c"), layout)
+        database = Database()
+        database.create_table("e", [("a", "integer"), ("b", "integer")])
+        database.create_table("d", [("c", "integer")])
+        database.insert_row("e", (1, 2))
+        database.insert_row("d", (30,))
+        compiled, interpreted = both_modes(
+            database, "select e.b + d.c from e, d where e.a + d.c > 0"
+        )
+        assert compiled == interpreted == ("value", [(32,)])
 
     def test_ambiguous_unqualified_ref_matches_interpreter_error(self):
-        layout = (("e1", ("salary",)), ("e2", ("salary",)))
-        node = parse_expression("salary")
-        program = compile_expression(node, layout)
-        with pytest.raises(ExecutionError) as compiled_error:
-            run(program, ((1,), (2,)))
-        scope = Scope()
-        scope.bind("e1", ("salary",), (1,))
-        scope.bind("e2", ("salary",), (2,))
-        with pytest.raises(ExecutionError) as interpreted_error:
-            evaluator_for().evaluate(node, scope)
-        assert str(compiled_error.value) == str(interpreted_error.value)
+        database = Database()
+        database.create_table("e1", [("salary", "integer")])
+        database.create_table("e2", [("salary", "integer")])
+        database.insert_row("e1", (1,))
+        database.insert_row("e2", (2,))
+        compiled, interpreted = both_modes(
+            database, "select * from e1, e2 where salary > 0"
+        )
+        assert compiled == interpreted
+        assert compiled[0] == "error" and "ambiguous" in compiled[1]
 
     def test_missing_column_matches_interpreter_error(self):
         node = parse_expression("emp.nosuch")
-        program = compile_expression(node, LAYOUT)
-        with pytest.raises(ExecutionError) as compiled_error:
-            run(program, (("carol", 900, 2),))
-        scope = Scope()
-        scope.bind("emp", ("name", "salary", "dept_no"), ("carol", 900, 2))
-        with pytest.raises(ExecutionError) as interpreted_error:
-            evaluator_for().evaluate(node, scope)
-        assert str(compiled_error.value) == str(interpreted_error.value)
+        program = compile_batch_expression(node, LAYOUT)
+        values, err = run(program, [CAROL])
+        assert values == []
+        assert isinstance(err, ExecutionError)
+        assert str(err) == interpreted_error(node, CAROL)
 
     def test_bad_ref_error_is_lazy_under_short_circuit(self):
         """``false and emp.nosuch = 1`` must evaluate to False, exactly as
         the interpreter's short-circuit leaves the bad ref unevaluated."""
-        program = compile_predicate(
+        program = compile_batch_predicate(
             parse_expression("false and emp.nosuch = 1"), LAYOUT
         )
-        assert run(program, (("carol", 900, 2),)) is False
-        program = compile_predicate(
+        assert run(program, [CAROL, CAROL]) == ([False, False], None)
+        program = compile_batch_predicate(
             parse_expression("true or 1 / 0 = 1"), LAYOUT
         )
-        assert run(program, (("carol", 900, 2),)) is True
+        assert run(program, [CAROL, CAROL]) == ([True, True], None)
+        # an empty selection never evaluates the bad ref at all
+        program = compile_batch_expression(
+            parse_expression("emp.nosuch"), LAYOUT
+        )
+        assert run(program, []) == ([], None)
 
 
 class TestFallbacks:
@@ -93,56 +148,58 @@ class TestFallbacks:
         database.create_table("t", [("x", "integer")])
         database.insert_row("t", (1,))
         node = parse_expression("exists (select * from t)")
-        program = compile_predicate(node, layout_of([]))
+        program = compile_batch_predicate(node, LAYOUT)
         assert program.needs_scope
         assert program.nodes_fallback == 1
-        assert run(program, (), Scope(), evaluator_for(database)) is True
+        values, err = run(program, [CAROL], evaluator_for(database))
+        assert (values, err) == ([True], None)
 
     def test_outer_scope_ref_falls_back(self):
-        program = compile_expression(parse_expression("outer_col"), LAYOUT)
+        program = compile_batch_expression(
+            parse_expression("outer_col"), LAYOUT
+        )
         assert program.needs_scope
         outer = Scope()
         outer.bind("o", ("outer_col",), (7,))
-        scope = Scope(parent=outer)
-        scope.bind("emp", ("name", "salary", "dept_no"), ("carol", 900, 2))
-        assert run(program, (("carol", 900, 2),), scope, evaluator_for()) == 7
+        values, err = run(program, [CAROL, CAROL], evaluator_for(), outer)
+        assert (values, err) == ([7, 7], None)
 
     def test_aggregate_call_falls_back(self):
-        program = compile_expression(parse_expression("count(*)"), LAYOUT)
+        program = compile_batch_expression(parse_expression("count(*)"), LAYOUT)
         assert program.nodes_fallback == 1
+        assert program.needs_scope
 
     def test_pure_program_skips_scope(self):
-        program = compile_predicate(
+        program = compile_batch_predicate(
             parse_expression("salary > 500 and name like 'c%'"), LAYOUT
         )
         assert not program.needs_scope
-        # no scope, no evaluator — slots and closures suffice
-        assert run(program, (("carol", 900, 2),)) is True
+        # no scope builder, no evaluator — column slots suffice
+        batch = Batch.from_rows([CAROL, ("dave", 300, 1)], len(COLUMNS))
+        values, err = program.fn(BatchContext(batch.cols), batch.sel)
+        assert (values, err) == ([True, False], None)
 
 
 class TestPredicateCoercion:
     def test_non_boolean_predicate_matches_interpreter_error(self):
         node = parse_expression("salary + 1")
-        program = compile_predicate(node, LAYOUT)
-        with pytest.raises(ExecutionError) as compiled_error:
-            run(program, (("carol", 900, 2),))
-        scope = Scope()
-        scope.bind("emp", ("name", "salary", "dept_no"), ("carol", 900, 2))
-        with pytest.raises(ExecutionError) as interpreted_error:
-            evaluator_for().evaluate_predicate(node, scope)
-        assert str(compiled_error.value) == str(interpreted_error.value)
+        program = compile_batch_predicate(node, LAYOUT)
+        values, err = run(program, [CAROL])
+        assert values == []
+        assert isinstance(err, ExecutionError)
+        assert str(err) == interpreted_error(node, CAROL, predicate=True)
 
     def test_null_predicate_stays_unknown(self):
-        program = compile_predicate(parse_expression("null"), LAYOUT)
-        assert run(program, (("carol", 900, 2),)) is None
+        program = compile_batch_predicate(parse_expression("null"), LAYOUT)
+        assert run(program, [CAROL]) == ([None], None)
 
 
 class TestCompiledCache:
     def test_hit_on_same_node_and_layout(self):
         database = Database()
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT, predicate=True)
-        second = program_for(database, node, LAYOUT, predicate=True)
+        first = batch_program_for(database, node, LAYOUT, predicate=True)
+        second = batch_program_for(database, node, LAYOUT, predicate=True)
         assert first is second
         stats = database.compiler_stats
         assert stats.compiles == 1
@@ -152,18 +209,22 @@ class TestCompiledCache:
     def test_distinct_layouts_compile_separately(self):
         database = Database()
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT)
+        first = batch_program_for(database, node, LAYOUT)
         other_layout = (("e2", ("salary",)),)
-        second = program_for(database, node, other_layout)
+        second = batch_program_for(database, node, other_layout)
         assert first is not second
         assert database.compiler_stats.compiles == 2
+        # predicate-ness is part of the key as well
+        third = batch_program_for(database, node, LAYOUT, predicate=True)
+        assert third is not first
+        assert database.compiler_stats.compiles == 3
 
     def test_schema_change_invalidates(self):
         database = Database()
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT)
+        first = batch_program_for(database, node, LAYOUT)
         database.create_table("t", [("x", "integer")])  # bumps schema_version
-        second = program_for(database, node, LAYOUT)
+        second = batch_program_for(database, node, LAYOUT)
         assert first is not second
         assert database.compiler_stats.invalidations == 1
 
@@ -171,9 +232,9 @@ class TestCompiledCache:
         database = Database()
         database.create_table("t", [("x", "integer")])
         node = parse_expression("salary > 500")
-        first = program_for(database, node, LAYOUT)
+        first = batch_program_for(database, node, LAYOUT)
         database.insert_row("t", (1,))  # bumps version, not schema_version
-        assert program_for(database, node, LAYOUT) is first
+        assert batch_program_for(database, node, LAYOUT) is first
 
     def test_overflow_clears_wholesale(self):
         cache = CompiledCache(max_entries=2)
@@ -199,7 +260,7 @@ class TestCompiledCache:
         database = Database()
         node = parse_expression("salary > 500")
         before = database.compiler_stats.counters()
-        program_for(database, node, LAYOUT)
+        batch_program_for(database, node, LAYOUT)
         delta = database.compiler_stats.delta_since(before)
         assert delta == {"cache_hits": 0, "cache_misses": 1, "compiles": 1}
 
@@ -249,14 +310,14 @@ class TestLikeMemoization:
 
     def test_constant_pattern_precompiled_at_compile_time(self):
         _like_to_regex.cache_clear()
-        program = compile_predicate(
+        program = compile_batch_predicate(
             parse_expression("name like 'c%'"), LAYOUT
         )
         baseline = _like_to_regex.cache_info()
-        for i in range(25):
-            run(program, ((f"c{i}", 0, 0),))
+        values, err = run(program, [(f"c{i}", 0, 0) for i in range(25)])
+        assert values == [True] * 25 and err is None
         after = _like_to_regex.cache_info()
-        # the per-row loop never touched the pattern translator
+        # the kernel never touched the pattern translator
         assert (after.hits, after.misses) == (
             baseline.hits,
             baseline.misses,
@@ -265,11 +326,12 @@ class TestLikeMemoization:
     def test_dynamic_pattern_memoized_per_row(self):
         _like_to_regex.cache_clear()
         layout = (("t", ("s", "p")),)
-        program = compile_predicate(parse_expression("s like p"), layout)
-        assert run(program, (("ab", "a%"),)) is True
-        assert run(program, (("ab", "b%"),)) is False
+        program = compile_batch_predicate(parse_expression("s like p"), layout)
+        rows = [("ab", "a%"), ("ab", "b%"), ("ac", "a%")]
+        assert run(program, rows, layout=layout) == ([True, False, True], None)
         info = _like_to_regex.cache_info()
         assert info.misses == 2
+        assert info.hits == 1
 
 
 class TestEngineIntegration:
@@ -277,13 +339,15 @@ class TestEngineIntegration:
     # suite runs under REPRO_COMPILED_EVAL=0 (the CI oracle run)
 
     def test_rule_condition_reenters_cached_program(self):
+        """Each consideration re-runs the condition's subquery; its
+        filter re-enters the batch program cached by the first one."""
         from repro import ActiveDatabase
 
         db = ActiveDatabase(record_seen=False)
         db.database.enable_compiled_eval = True
         # pin the full condition path: with incremental evaluation on,
         # this condition is answered from a maintained counter and never
-        # re-enters the compiled program per consideration
+        # re-runs its subquery per consideration
         db.database.enable_incremental_eval = False
         db.execute("create table t (x integer)")
         db.execute(
@@ -313,6 +377,9 @@ class TestEngineIntegration:
         assert compiler["compiles"] > 0
         assert 0.0 <= compiler["cache_hit_rate"] <= 1.0
         assert 0.0 <= compiler["fallback_rate"] <= 1.0
+        for key in ("cache_hits", "cache_misses", "invalidations",
+                    "nodes_compiled", "nodes_fallback"):
+            assert key in compiler
 
     def test_reset_stats_clears_compiler_counters(self):
         from repro import ActiveDatabase

@@ -1,11 +1,12 @@
-"""Unit tests for the vectorized batch-kernel layer: environment gate,
-stats counters, interpreter fallbacks, and the DML/engine call sites."""
+"""Unit tests for the vectorized batch-kernel layer: the environment
+gate it shares with compiled evaluation, stats counters, interpreter
+fallbacks, and the DML/engine call sites."""
 
 import pytest
 
 from repro import ActiveDatabase
 from repro.errors import ReproError
-from repro.relational.compiled import vectorized_enabled
+from repro.relational.compiled import typed_kernels_enabled
 from repro.relational.database import Database
 from repro.relational.select import BaseTableResolver, evaluate_select
 from repro.sql.parser import parse_select
@@ -14,42 +15,58 @@ from repro.sql.parser import parse_select
 @pytest.fixture
 def db():
     db = ActiveDatabase()
-    # force both layers on so this suite still exercises the batch path
-    # when the CI oracle reruns export REPRO_COMPILED_EVAL=0 or
-    # REPRO_VECTORIZED_EVAL=0
+    # force the layer on so this suite still exercises the batch path
+    # when the CI oracle rerun exports REPRO_COMPILED_EVAL=0
     db.database.enable_compiled_eval = True
-    db.database.enable_vectorized_eval = True
     db.execute("create table t (a integer, b integer, s varchar)")
     for a in range(10):
         db.execute(f"insert into t values ({a}, {a % 3}, 'r{a}')")
     return db
 
 
+def scan_section(monkeypatch, value):
+    """The ``vectorized`` stats section after one filtered scan, with
+    ``REPRO_COMPILED_EVAL`` set to ``value`` (None: unset)."""
+    if value is None:
+        monkeypatch.delenv("REPRO_COMPILED_EVAL", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_COMPILED_EVAL", value)
+    db = ActiveDatabase()
+    db.execute("create table t (a integer)")
+    db.execute("insert into t values (1), (2), (3)")
+    db.reset_stats()
+    assert db.rows("select a from t where a > 1") == [(2,), (3,)]
+    return db.stats()["vectorized"]
+
+
 class TestEnvironmentGate:
+    # batch kernels are the compiled layer: REPRO_COMPILED_EVAL is
+    # their only switch
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_VECTORIZED_EVAL", raising=False)
-        assert Database().enable_vectorized_eval is True
+        section = scan_section(monkeypatch, None)
+        assert section["enabled"] is True
+        assert section["batches_scanned"] >= 1
 
     def test_env_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "0")
-        assert Database().enable_vectorized_eval is False
+        section = scan_section(monkeypatch, "0")
+        assert section["enabled"] is False
+        assert section["batches_scanned"] == 0
 
     def test_env_off_spelling(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTORIZED_EVAL", "OFF")
-        assert Database().enable_vectorized_eval is False
+        section = scan_section(monkeypatch, "OFF")
+        assert section["enabled"] is False
+        assert section["batches_scanned"] == 0
 
     def test_vectorized_requires_compiled_layer(self):
         database = Database()
         database.enable_compiled_eval = True
-        database.enable_vectorized_eval = True
-        assert vectorized_enabled(database) is True
+        database.enable_typed_kernels = True
+        assert typed_kernels_enabled(database) is True
         database.enable_compiled_eval = False
-        # vectorization layers on top of compiled evaluation: the pure
-        # interpreter must remain the bottom-most oracle
-        assert vectorized_enabled(database) is False
-        database.enable_compiled_eval = True
-        database.enable_vectorized_eval = False
-        assert vectorized_enabled(database) is False
+        # typed kernels specialize batch kernels, which exist only with
+        # compiled evaluation on: the interpreter is the one oracle
+        assert typed_kernels_enabled(database) is False
 
 
 class TestStatsSection:
@@ -72,7 +89,7 @@ class TestStatsSection:
         assert section["selection_hit_rate"] == 0.0
 
     def test_disabled_section_reports_enabled_false(self, db):
-        db.database.enable_vectorized_eval = False
+        db.database.enable_compiled_eval = False
         db.reset_stats()
         db.execute("select a from t where b = 1")
         section = db.stats()["vectorized"]
@@ -141,7 +158,7 @@ class TestCallSites:
 
     def test_error_parity_end_to_end(self, db):
         def message(mode):
-            db.database.enable_vectorized_eval = mode
+            db.database.enable_compiled_eval = mode
             with pytest.raises(ReproError) as info:
                 db.execute("select a from t where a + s > 0")
             return (type(info.value).__name__, str(info.value))
@@ -182,7 +199,7 @@ class TestJoinKeyExtraction:
             db.execute(f"insert into u values ({b}, 'u{b}')")
         sql = "select t.a, u.tag from t, u where t.b = u.b order by t.a"
         vectorized = db.rows(sql)
-        db.database.enable_vectorized_eval = False
+        db.database.enable_compiled_eval = False
         row_mode = db.rows(sql)
         assert vectorized == row_mode
         assert len(vectorized) == 10
