@@ -1,13 +1,25 @@
 """PERF-9: statistics-driven cost-based optimization.
 
-Two claims are measured, each against the PR 2 syntactic planner as the
-oracle (``enable_cost_planner = False`` — same results, different cost):
+Three claims are measured, each against the naive iterate-and-filter
+path as the oracle (``enable_planner = False`` — same results, different
+cost):
 
 * **greedy join ordering** — a three-table join written in worst-case
-  syntactic order (``from a, c, b where a.x = b.x and b.y = c.y``)
-  forces the syntactic planner through an ``a x c`` Cartesian product;
-  the cost planner joins the connected pair first and visits orders of
-  magnitude fewer combinations. Asserted >= 2x wall time in full mode;
+  order (``from a, c, b where a.x = b.x and b.y = c.y``); the naive path
+  enumerates the whole ``a x c x b`` product (``size**3 / 2``
+  combinations per run), while the cost planner joins the connected pair
+  first and visits orders of magnitude fewer combinations. The naive arm
+  runs only at the sizes where that cubic enumeration takes seconds, not
+  minutes (:data:`NAIVE_JOIN_SIZES`); >= 2x wall time is asserted in
+  full mode at the largest of them;
+* **joins whose WHERE can raise** — ``a.x = b.x and b.y / (a.pad + 1)
+  >= 0``: the division may raise, so the planner may only prune with the
+  total equality in front of it (a hash join keeping NULL keys) and runs
+  the whole WHERE over what is left. Written the other way round (the
+  division first), nothing may prune and the plan is the naive
+  product; both orders are recorded, each next to the naive path on
+  the same text, and >= 2x wall time for the prefix form is asserted
+  in full mode;
 * **zone-map pruning** — a range predicate near the top of a clustered
   (insertion-ordered) column lets the vectorized filter skip whole
   256-slot zones; >= 50% of zones skipped is asserted via the optimizer
@@ -26,17 +38,30 @@ from repro import ActiveDatabase
 
 from .conftest import FAST_MODE, print_series, record_stats
 
-JOIN_SIZES = (40, 80) if FAST_MODE else (200, 600)
+JOIN_SIZES = (40, 80) if FAST_MODE else (120, 200, 600)
+#: sizes the naive arm runs at: it enumerates the full product
+#: (size**3 / 2 combinations per run) in constant memory, but its time
+#: grows cubically (about 5 s a run at 120 rows/table, 24 s at 200)
+NAIVE_JOIN_SIZES = tuple(size for size in JOIN_SIZES if size <= 120)
+GUARDED_SIZES = (100, 200) if FAST_MODE else (200, 400)
 ZONE_ROWS = 4_000 if FAST_MODE else 48_000
 
 JOIN_SQL = (
     "select a.x, b.y from a, c, b where a.x = b.x and b.y = c.y"
 )
+#: the same join with a conjunct that may raise (division), after and
+#: before the total equality
+GUARDED_SQL = {
+    "prefix": "select a.x, b.y from a, b "
+              "where a.x = b.x and b.y / (a.pad + 1) >= 0",
+    "raising_first": "select a.x, b.y from a, b "
+                     "where b.y / (a.pad + 1) >= 0 and a.x = b.x",
+}
 
 
-def build_join_db(cost_planner, size):
+def build_join_db(planner, size):
     db = ActiveDatabase(record_seen=False)
-    db.database.enable_cost_planner = cost_planner
+    db.database.enable_planner = planner
     db.execute("create table a (x integer, pad integer)")
     db.execute("create table c (y integer, pad integer)")
     db.execute("create table b (x integer, y integer)")
@@ -49,10 +74,10 @@ def build_join_db(cost_planner, size):
     return db
 
 
-def build_zone_db(cost_planner, rows):
+def build_zone_db(planner, rows):
     db = ActiveDatabase(record_seen=False)
     database = db.database
-    database.enable_cost_planner = cost_planner
+    database.enable_planner = planner
     database.enable_compiled_eval = True
     db.execute("create table big (k integer, v integer)")
     for i in range(rows):
@@ -61,10 +86,15 @@ def build_zone_db(cost_planner, rows):
 
 
 def timed_rows(db, sql):
-    db.rows(sql)  # warm the plan cache: measure execution, not planning
+    """``(seconds, rows, rows_visited)`` of one warm run (the plan cache
+    is warmed first: measure execution, not planning)."""
+    db.rows(sql)
+    stats = db.database.planner_stats
+    visited = stats.rows_visited
     start = time.perf_counter()
     result = db.rows(sql)
-    return time.perf_counter() - start, result
+    elapsed = time.perf_counter() - start
+    return elapsed, result, stats.rows_visited - visited
 
 
 @pytest.mark.parametrize("size", JOIN_SIZES)
@@ -73,8 +103,8 @@ def test_three_table_join_costed(benchmark, size):
     benchmark.pedantic(lambda: db.rows(JOIN_SQL), rounds=3, iterations=1)
 
 
-@pytest.mark.parametrize("size", JOIN_SIZES)
-def test_three_table_join_syntactic(benchmark, size):
+@pytest.mark.parametrize("size", NAIVE_JOIN_SIZES)
+def test_three_table_join_naive(benchmark, size):
     db = build_join_db(False, size)
     benchmark.pedantic(lambda: db.rows(JOIN_SQL), rounds=3, iterations=1)
 
@@ -89,35 +119,97 @@ def _shape_join_order():
     visited = {}
     for size in JOIN_SIZES:
         costed_db = build_join_db(True, size)
-        syntactic_db = build_join_db(False, size)
-        time_on, result_on = timed_rows(costed_db, JOIN_SQL)
-        time_off, result_off = timed_rows(syntactic_db, JOIN_SQL)
-        assert result_on == result_off  # identical rows, identical order
-        on_stats = costed_db.database.planner_stats.rows_visited
-        off_stats = syntactic_db.database.planner_stats.rows_visited
+        time_on, result_on, on_stats = timed_rows(costed_db, JOIN_SQL)
         assert costed_db.stats()["optimizer"]["joins_reordered"] >= 1
-        times[size] = {"costed": time_on, "syntactic": time_off}
-        visited[size] = {"costed": on_stats, "syntactic": off_stats}
-        rows.append(
-            (
-                size,
-                on_stats,
-                off_stats,
-                f"{time_on*1e3:.1f}ms",
-                f"{time_off*1e3:.1f}ms",
-                f"{time_off / max(time_on, 1e-9):.1f}x",
+        times[size] = {"costed": time_on}
+        visited[size] = {"costed": on_stats}
+        if size in NAIVE_JOIN_SIZES:
+            naive_db = build_join_db(False, size)
+            time_off, result_off, off_stats = timed_rows(naive_db, JOIN_SQL)
+            assert result_on == result_off  # identical rows and order
+            assert on_stats < off_stats
+            times[size]["naive"] = time_off
+            visited[size]["naive"] = off_stats
+            rows.append(
+                (
+                    size,
+                    on_stats,
+                    off_stats,
+                    f"{time_on*1e3:.1f}ms",
+                    f"{time_off*1e3:.1f}ms",
+                    f"{time_off / max(time_on, 1e-9):.1f}x",
+                )
             )
-        )
+        else:
+            rows.append(
+                (size, on_stats, "-", f"{time_on*1e3:.1f}ms", "-", "-")
+            )
     print_series(
-        "PERF-9: worst-case 3-table join, greedy order vs syntactic",
-        ("rows/table", "visited (costed)", "visited (syntactic)",
-         "costed", "syntactic", "speedup"),
+        "PERF-9: worst-case 3-table join, greedy order vs naive",
+        ("rows/table", "visited (costed)", "visited (naive)",
+         "costed", "naive", "speedup"),
         rows,
         values={"seconds": times, "rows_visited": visited},
     )
     if not FAST_MODE:
-        largest = JOIN_SIZES[-1]
-        assert times[largest]["syntactic"] >= 2 * times[largest]["costed"]
+        largest = NAIVE_JOIN_SIZES[-1]
+        assert times[largest]["naive"] >= 2 * times[largest]["costed"]
+
+
+def build_guarded_db(planner, size):
+    db = ActiveDatabase(record_seen=False)
+    db.database.enable_planner = planner
+    db.execute("create table a (x integer, pad integer)")
+    db.execute("create table b (x integer, y integer)")
+    database = db.database
+    for i in range(size):
+        database.insert_row("a", (i, i % 3))
+        database.insert_row("b", (size - 1 - i, i))
+    return db
+
+
+def test_shape_raising_join_keeps_its_prefix_join(benchmark):
+    benchmark.pedantic(_shape_raising_join, rounds=1, iterations=1)
+
+
+def _shape_raising_join():
+    rows = []
+    times = {}
+    visited = {}
+    for size in GUARDED_SIZES:
+        dbs = {"planned": build_guarded_db(True, size),
+               "naive": build_guarded_db(False, size)}
+        times[size] = {}
+        visited[size] = {}
+        results = []
+        for form, sql in GUARDED_SQL.items():
+            for path, db in dbs.items():
+                elapsed, result, count = timed_rows(db, sql)
+                times[size][f"{form}_{path}"] = elapsed
+                visited[size][f"{form}_{path}"] = count
+                results.append(result)
+        assert all(result == results[0] for result in results)
+        assert len(results[0]) == size
+        assert visited[size]["prefix_planned"] < visited[size]["prefix_naive"]
+        rows.append(
+            (size,)
+            + tuple(visited[size][arm] for arm in (
+                "prefix_planned", "prefix_naive", "raising_first_planned"))
+            + tuple(f"{times[size][arm]*1e3:.1f}ms" for arm in (
+                "prefix_planned", "prefix_naive", "raising_first_planned",
+                "raising_first_naive"))
+        )
+    print_series(
+        "PERF-9: join whose WHERE can raise, total prefix vs naive",
+        ("rows/table", "visited (prefix)", "visited (naive)",
+         "visited (raising first)", "prefix", "prefix naive",
+         "raising first", "raising first naive"),
+        rows,
+        values={"seconds": times, "rows_visited": visited},
+    )
+    if not FAST_MODE:
+        largest = times[GUARDED_SIZES[-1]]
+        assert largest["prefix_naive"] >= 2 * largest["prefix_planned"]
 
 
 def test_shape_zone_maps_skip_batches(benchmark):
@@ -130,9 +222,9 @@ def _shape_zone_pruning():
     threshold = int(ZONE_ROWS * 0.98)
     sql = f"select k, v from big where k > {threshold}"
     costed_db = build_zone_db(True, ZONE_ROWS)
-    syntactic_db = build_zone_db(False, ZONE_ROWS)
-    time_on, result_on = timed_rows(costed_db, sql)
-    time_off, result_off = timed_rows(syntactic_db, sql)
+    naive_db = build_zone_db(False, ZONE_ROWS)
+    time_on, result_on, _ = timed_rows(costed_db, sql)
+    time_off, result_off, _ = timed_rows(naive_db, sql)
     assert result_on == result_off
     assert len(result_on) == ZONE_ROWS - threshold - 1
 
@@ -144,7 +236,7 @@ def _shape_zone_pruning():
 
     print_series(
         "PERF-9: zone-map pruning on a clustered range scan",
-        ("rows", "zones", "pruned", "prune rate", "costed", "syntactic",
+        ("rows", "zones", "pruned", "prune rate", "costed", "naive",
          "speedup"),
         [
             (
@@ -158,7 +250,7 @@ def _shape_zone_pruning():
             )
         ],
         values={
-            "seconds": {"costed": time_on, "syntactic": time_off},
+            "seconds": {"costed": time_on, "naive": time_off},
             "zones": {
                 "considered": optimizer["zones_considered"],
                 "pruned": optimizer["zones_pruned"],

@@ -24,6 +24,14 @@ import time
 import pytest
 
 from repro import ActiveDatabase
+from repro.relational.compiled import (
+    BatchContext,
+    batch_program_for,
+    compile_batch_predicate,
+)
+from repro.relational.expressions import Evaluator
+from repro.relational.select import BaseTableResolver
+from repro.sql.parser import parse_select
 
 from .conftest import FAST_MODE, print_series, record_stats
 
@@ -138,15 +146,17 @@ def _shape_predicate_heavy_scan():
 REQUIRED_TYPED_SPEEDUP = 1.05
 
 
-def timed_typed(db, sql, typed, repetitions=5):
-    db.database.enable_typed_kernels = typed
+def timed_filter(program, ctx, sel, repetitions=5):
+    """Best-of-``repetitions`` time of one batch predicate over ``sel``;
+    returns ``(seconds, selected_count)``."""
     best = None
     for _ in range(repetitions):
         start = time.perf_counter()
-        result = db.rows(sql)
+        values, err = program.fn(ctx, sel)
         elapsed = time.perf_counter() - start
+        assert err is None
         best = elapsed if best is None else min(best, elapsed)
-    return best, len(result)
+    return best, sum(1 for value in values if value is True)
 
 
 def test_shape_typed_kernels(benchmark):
@@ -154,9 +164,11 @@ def test_shape_typed_kernels(benchmark):
 
 
 def _shape_typed_kernels():
-    """The predicate-heavy scan again, but vectorized in both series:
-    type-specialized kernels (catalog-kind monomorphic comparisons and
-    arithmetic) vs the generic per-value-dispatch kernels."""
+    """The predicate-heavy scan's WHERE as one batch predicate over the
+    whole table, in both series: the production program (catalog-kind
+    monomorphic comparisons and arithmetic) vs the same predicate
+    compiled with no kinds and no database — the generic per-value-
+    dispatch kernels."""
     rows = []
     times = {}
     speedups = {}
@@ -164,14 +176,24 @@ def _shape_typed_kernels():
         db = build_scan_db(size)
         sql = scan_sql(size)
         db.reset_stats()
-        db.rows(sql)  # cold typed compile: count specialized kernels
+        db.rows(sql)  # production run: count specialized kernels
         section = db.stats()["vectorized"]
         assert section["typed_kernels"] > 0
         record_stats(f"typed_{size}", db)
-        db.database.enable_typed_kernels = False
-        db.rows(sql)  # warm the generic program's own cache entry
-        typed_time, typed_count = timed_typed(db, sql, typed=True)
-        generic_time, generic_count = timed_typed(db, sql, typed=False)
+        database = db.database
+        select = parse_select(sql)
+        resolver = BaseTableResolver(database)
+        columns, batch = resolver.resolve_batch(select.tables[0])
+        layout = (("t", columns),)
+        typed = batch_program_for(
+            database, select.where, layout, predicate=True, table="t"
+        )
+        generic = compile_batch_predicate(select.where, layout)
+        assert typed.kernels_typed > 0 and generic.kernels_typed == 0
+        assert not typed.needs_scope and not generic.needs_scope
+        ctx = BatchContext(batch.cols, None, Evaluator(database, resolver))
+        typed_time, typed_count = timed_filter(typed, ctx, batch.sel)
+        generic_time, generic_count = timed_filter(generic, ctx, batch.sel)
         assert typed_count == generic_count
         speedup = generic_time / typed_time
         times[size] = {"typed": typed_time, "generic": generic_time}
@@ -188,7 +210,7 @@ def _shape_typed_kernels():
             )
         )
     print_series(
-        "typed vs generic batch kernels, predicate-heavy scan",
+        "typed vs generic batch kernels, predicate-heavy WHERE",
         ("rows", "selected", "typed kernels", "generic kernels",
          "typed", "generic", "speedup"),
         rows,

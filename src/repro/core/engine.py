@@ -26,7 +26,6 @@ through the manual transaction API: :meth:`begin` /
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -197,11 +196,9 @@ class RuleEngine:
                 else None
             ),
             optimizer=(
-                optimizer.snapshot(
-                    enabled=getattr(
-                        self.database, "enable_cost_planner", False
-                    )
-                )
+                optimizer.snapshot(enabled=bool(
+                    getattr(self.database, "enable_planner", False)
+                ))
                 if optimizer is not None
                 else None
             ),
@@ -347,11 +344,7 @@ class RuleEngine:
         the new rule and emit each finding as a ``lint_diagnostic``
         event. Purely advisory — rule definition never fails because of
         lint, and analyzer bugs must not break the engine, so the whole
-        thing is wrapped. Set ``REPRO_DEFINE_LINT=0`` to disable."""
-        if os.environ.get("REPRO_DEFINE_LINT", "1").lower() in (
-            "0", "off", "false"
-        ):
-            return
+        thing is wrapped."""
         try:
             from ..analysis.lint import lint_rule
 
@@ -1009,12 +1002,14 @@ class RuleEngine:
         Reordering is gated on every conjunct being *total* — unable to
         raise on any row — so short-circuit evaluation observes the same
         errors in any order; ``order_condition`` returns the original
-        object when reordering is off, unsafe, or a no-op, which keeps
-        the compiled-program cache (keyed on AST identity) warm.
+        object when reordering is unsafe or a no-op, which keeps the
+        compiled-program cache (keyed on AST identity) warm. The naive
+        path (``enable_planner`` off, the planner's oracle) keeps the
+        written order.
         """
         condition = rule.condition
         if condition is None or not getattr(
-            self.database, "enable_cost_planner", False
+            self.database, "enable_planner", False
         ):
             return condition
         key = (

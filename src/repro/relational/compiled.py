@@ -42,7 +42,7 @@ selected rows one by one. The differential and property suites enforce
 it.
 
 Programs are cached per database in a :class:`CompiledCache` keyed by
-``(AST identity, layout, predicate-ness, typed specialization)`` and
+``(AST identity, layout, predicate-ness, backing table)`` and
 invalidated wholesale when ``database.schema_version`` moves, mirroring
 the plan cache: rule conditions and plan predicates are stable AST
 objects, so steady-state rule processing compiles once and re-enters
@@ -137,7 +137,7 @@ class CompilerStats:
 class CompiledCache:
     """Batch programs per database, guarded by the schema version.
 
-    Keys are ``(id(node), layout, predicate, typed, table)`` — AST
+    Keys are ``(id(node), layout, predicate, table)`` — AST
     *identity*, not structure: plan predicates and rule conditions are
     long-lived objects, and identity keys make lookups O(1) without deep
     hashing.
@@ -161,17 +161,16 @@ class CompiledCache:
         one-element tuple ``((binding_name, columns_tuple),)``;
         ``predicate=True`` adds the interpreter's predicate coercion at
         the root; ``table`` names the base table the layout's columns
-        come from, enabling catalog-kind specialization — the typed and
-        generic variants cache under distinct keys, so toggling
-        ``enable_typed_kernels`` never serves a stale specialization."""
+        come from, enabling catalog-kind specialization (operators whose
+        operand kinds are proven compile to typed kernels, the rest to
+        generic ones)."""
         if self._schema_version != database.schema_version:
             if self._programs:
                 if stats is not None:
                     stats.invalidations += 1
                 self._programs.clear()
             self._schema_version = database.schema_version
-        typed = typed_kernels_enabled(database)
-        key = (id(node), layout, predicate, typed, table if typed else None)
+        key = (id(node), layout, predicate, table)
         entry = self._programs.get(key)
         if entry is not None:
             if stats is not None:
@@ -180,16 +179,11 @@ class CompiledCache:
         if stats is not None:
             stats.cache_misses += 1
             stats.compiles += 1
-        kinds = None
-        typed_database = None
-        if typed:
-            typed_database = database
-            if table is not None:
-                kinds = _table_kinds(database, table)
+        kinds = _table_kinds(database, table) if table is not None else None
         compile_fn = (
             compile_batch_predicate if predicate else compile_batch_expression
         )
-        program = compile_fn(node, layout, kinds, typed_database)
+        program = compile_fn(node, layout, kinds, database)
         vstats = getattr(database, "vectorized_stats", None)
         if vstats is not None:
             vstats.typed_kernels += program.kernels_typed
@@ -215,20 +209,6 @@ def batch_program_for(database, node, layout, predicate=False, table=None):
     return database.compiled_cache.program_for(
         node, layout, database, predicate, database.compiler_stats,
         table=table,
-    )
-
-
-def typed_kernels_enabled(database):
-    """Whether batch compilation may specialize kernels on static types.
-
-    Typed kernels sit on top of the compiled layer: they need batch
-    kernels to exist at all, and ``REPRO_TYPED_KERNELS=0``
-    (``database.enable_typed_kernels``) turns only the specialization
-    off, leaving generic kernels as the differential baseline.
-    """
-    return bool(
-        getattr(database, "enable_typed_kernels", False)
-        and getattr(database, "enable_compiled_eval", False)
     )
 
 

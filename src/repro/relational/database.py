@@ -48,9 +48,13 @@ class Database:
         #: plan cache is invalidated when it moves (plans depend on the
         #: catalog, not on table contents)
         self.schema_version = 0
-        #: execute selects through compiled logical plans (see
-        #: repro.relational.plan); False selects the naive
-        #: iterate-and-filter path — same results, different cost
+        #: execute selects through cost-based logical plans (see
+        #: repro.relational.plan and repro.relational.plan.cost: greedy
+        #: join ordering, selectivity-sorted conjuncts, selective index
+        #: keys, zone-map batch pruning, cost-ordered rule conditions);
+        #: False selects the naive iterate-and-filter path — same
+        #: results, errors and fired-rule sequences, different cost (the
+        #: planner's differential oracle)
         self.enable_planner = True
         #: compiled plans per select AST (see repro.relational.plan.cache)
         self.plan_cache = PlanCache()
@@ -59,16 +63,6 @@ class Database:
 
         from .stats import OptimizerStats
 
-        #: cost plans with live table statistics (see
-        #: repro.relational.plan.cost): greedy join ordering, selectivity-
-        #: sorted conjuncts, selective index-key choice, zone-map batch
-        #: pruning, cost-ordered rule conditions. False keeps the PR 2
-        #: syntactic planner — same results, errors and fired-rule
-        #: sequences, different cost (the differential oracle).
-        #: REPRO_COST_PLANNER=0 forces the layer off (CI runs both ways).
-        self.enable_cost_planner = os.environ.get(
-            "REPRO_COST_PLANNER", "1"
-        ).lower() not in ("0", "off", "false")
         #: statistics epoch: bumped whenever any table's statistics are
         #: rebuilt (drift threshold, compaction, checkpoint) and by index
         #: DDL — the plan cache keys on it alongside schema_version, so
@@ -82,10 +76,11 @@ class Database:
 
         #: evaluate scans, filters, projections, join keys, DML
         #: targeting, and transition-table conditions through batch
-        #: kernels over columnar storage (see repro.relational.compiled);
-        #: False interprets every expression — same values and errors,
-        #: different cost. Sites the kernels cannot serve (join
-        #: products, for one) use the interpreter either way.
+        #: kernels over columnar storage (see repro.relational.compiled),
+        #: specialized to monomorphic kernels where operand types are
+        #: statically proven; False interprets every expression — same
+        #: values and errors, different cost. Sites the kernels cannot
+        #: serve (join products, for one) use the interpreter either way.
         #: REPRO_COMPILED_EVAL=0 in the environment forces the layer off
         #: (CI runs both ways).
         self.enable_compiled_eval = os.environ.get(
@@ -99,19 +94,6 @@ class Database:
         #: batch-kernel counters (batches scanned, selection-vector
         #: sizes, per-row fallbacks)
         self.vectorized_stats = VectorizedStats()
-
-        #: specialize batch kernels on statically-proven operand types
-        #: (catalog column kinds + definition-time type witnesses; see
-        #: the typed-kernel section of repro.relational.compiled) —
-        #: monomorphic comparison/arithmetic kernels with no per-value
-        #: dispatch. Layers on top of compiled evaluation, so turning
-        #: that off disables this too; False keeps the generic
-        #: dispatching kernels — same values, errors and fired-rule
-        #: sequences, different cost. REPRO_TYPED_KERNELS=0 forces the
-        #: layer off (CI runs both ways).
-        self.enable_typed_kernels = os.environ.get(
-            "REPRO_TYPED_KERNELS", "1"
-        ).lower() not in ("0", "off", "false")
 
         #: evaluate maintainable rule conditions from persisted support
         #: counters updated by each transition's net deltas (see

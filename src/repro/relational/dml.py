@@ -262,7 +262,7 @@ class DmlExecutor:
         indexed-equality conjunct (``col = literal``) narrows the scan to
         the index's candidates; the full predicate still decides.
         """
-        from .planner import index_candidates
+        from .plan.pushdown import index_candidates
 
         if self.database.on_table_read is not None:
             self.database.on_table_read(table_name)

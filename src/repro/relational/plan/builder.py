@@ -1,51 +1,48 @@
-"""``build_plan()``: one select arm's AST → a logical plan.
+"""``build_plan()``: one select arm's AST → a cost-based logical plan.
 
-Planning decisions, in order:
+A WHERE that the totality analysis of :mod:`~repro.relational.plan.cost`
+cannot clear (it may raise on some row) is never split, so which error
+surfaces never depends on the plan: its total prefix may only prune a
+join, and the whole WHERE decides the rest
+(:func:`_build_guarded_source`). For a total WHERE (or none), planning
+decisions are, in order:
 
 1. classify the WHERE's top-level conjuncts (pushdown / equi-join /
    residual — see :mod:`~repro.relational.plan.pushdown`);
 2. give every FROM item a leaf: an :class:`~repro.relational.plan.nodes
-   .IndexLookup` when a pushed ``col = literal`` conjunct hits an
-   existing hash index (base tables only), else a full
-   :class:`~repro.relational.plan.nodes.Scan`; pushed conjuncts become a
-   per-leaf :class:`~repro.relational.plan.nodes.Filter` (they *always*
-   re-run, even when an index served candidates, so index contents can
-   never change results);
-3. join the leaves left-to-right in FROM order: a
+   .IndexLookup` when pushed ``col = literal`` conjuncts hit existing
+   hash indexes (base tables only; keys chosen by estimated bucket
+   size), else a full :class:`~repro.relational.plan.nodes.Scan`;
+   pushed conjuncts become a per-leaf
+   :class:`~repro.relational.plan.nodes.Filter` (they *always* re-run,
+   even when an index served candidates, so index contents can never
+   change results), carrying zone-map prune specs over base tables;
+3. join the leaves greedily by estimated output size: a
    :class:`~repro.relational.plan.nodes.HashJoin` when an unused
    equi-conjunct connects the tables joined so far to the next one, else
-   a :class:`~repro.relational.plan.nodes.Product`;
+   a :class:`~repro.relational.plan.nodes.Product`; a
+   :class:`~repro.relational.plan.nodes.RestoreOrder` node restores the
+   FROM enumeration order whenever the join order changed, so results
+   stay order-identical to the naive evaluator's;
 4. wrap the residual conjuncts (if any) in a top-level Filter, then add
    the result chain (Project/Aggregate, Distinct, Sort, Limit) mirroring
    the select's clauses.
 
-That is the *syntactic* path, which reads only the catalog (schemas and
-indexes). With ``database.enable_cost_planner`` on (the default), the
-*cost* path layers statistics-driven decisions on top — see
-:mod:`~repro.relational.plan.cost`:
-
-* pushed conjuncts and the residual are sorted cheapest-and-most-
-  selective first (only when every moved conjunct is provably total);
-* index keys are chosen by estimated bucket size instead of "all of
-  them";
-* zone-map prune specs are attached to pushed filters over base tables;
-* leaves are joined greedily by estimated output size instead of FROM
-  order, with a :class:`~repro.relational.plan.nodes.RestoreOrder` node
-  restoring the FROM enumeration order whenever the order changed (so
-  results stay order-identical to the syntactic plan's);
-* every source node carries ``est_rows`` for EXPLAIN.
+Pushed conjuncts and the residual are sorted cheapest-and-most-selective
+first; every source node carries ``est_rows`` for EXPLAIN.
 
 All tie-breaking is strict-improvement-only over FROM-position
-iteration order, so on absent statistics (empty tables) the cost path
-builds the *identical* tree the syntactic path builds. Cost plans
-additionally depend on table statistics, which is why the plan cache
-keys on ``database.stats_epoch`` (see
-:mod:`~repro.relational.plan.cache`).
+iteration order, so on absent statistics (empty tables) the builder
+joins in FROM order. Plans depend on table statistics, which is why the
+plan cache keys on ``database.stats_epoch`` (see
+:mod:`~repro.relational.plan.cache`). The naive path
+(``database.enable_planner = False``) is the differential oracle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from functools import reduce
+from typing import Any
 
 from ...errors import ExecutionError
 from ...sql import ast
@@ -65,7 +62,12 @@ from .nodes import (
     SingleRow,
     Sort,
 )
-from .pushdown import _indexable_pair, classify_where
+from .pushdown import (
+    _indexable_pair,
+    classify_where,
+    conjuncts,
+    indexed_equalities,
+)
 
 
 def build_plan(database: Any, select: ast.Select) -> Plan:
@@ -83,89 +85,87 @@ def build_plan(database: Any, select: ast.Select) -> Plan:
             database.schema(table_ref.table).column_names
         )
 
-    classified = classify_where(select.where, binding_columns)
-
-    if getattr(database, "enable_cost_planner", False):
+    parts = [] if select.where is None else list(conjuncts(select.where))
+    prefix = _total_prefix(database, select, parts)
+    if len(prefix) == len(parts):
+        classified = classify_where(select.where, binding_columns)
         source = _build_cost_source(
             database, select, binding_columns, classified
         )
     else:
-        source = _build_syntactic_source(
-            database, select, binding_columns, classified
+        source = _build_guarded_source(
+            database, select, binding_columns, prefix
         )
-
     root = _build_result_chain(select, source)
     return Plan(select, source, root, binding_columns)
 
 
-# ---------------------------------------------------------------------------
-# the syntactic path (PR 2) — also the cost path's differential oracle
+def _total_prefix(database: Any, select: Any, parts: list[Any]) -> list[Any]:
+    """The leading top-level WHERE conjuncts that provably cannot raise."""
+    layers = cost.kind_layers(database, select.tables)
+    prefix: list[Any] = []
+    for conjunct in parts:
+        if cost.expression_kind(conjunct, layers, database) not in ("b", "?"):
+            break
+        prefix.append(conjunct)
+    return prefix
 
 
-def _build_syntactic_source(database: Any, select: Any,
-                            binding_columns: Any, classified: Any) -> Any:
-    source = None if select.tables else SingleRow()
-    used_joins = [False] * len(classified.joins)
-    joined: set[str] = set()
+def _build_guarded_source(database: Any, select: Any, binding_columns: Any,
+                          prefix: list[Any]) -> Any:
+    """A WHERE that may raise, whose leading conjuncts ``prefix`` cannot
+    (docs/semantics.md §8). The naive ``and`` stops at the first False
+    conjunct, so the prefix may prune a join where it is False — pushed
+    conjuncts keep Unknown rows, hash joins keep NULL keys — and the
+    whole WHERE decides the rest, in FROM order. A single base table
+    narrows through its indexed equalities, as the naive path does."""
+    database.optimizer_stats.plans_costed += 1
+    single = len(select.tables) == 1
+    classified = classify_where(
+        None if single or not prefix
+        else reduce(lambda left, right: ast.BinaryOp("and", left, right), prefix),
+        binding_columns,
+    )
+    leaves: list[Any] = []
+    leaf_ests: list[Any] = []
     for table_ref in select.tables:
         binding = table_ref.binding_name
-        leaf = _build_leaf(
-            database, table_ref, binding, binding_columns[binding],
-            classified.pushed.get(binding, ()),
-        )
-        if source is None:
-            source = leaf
-        else:
-            left_keys, right_keys = _connecting_keys(
-                classified.joins, used_joins, joined, binding
+        columns = binding_columns[binding]
+        est = cost.source_rows(database, table_ref)
+        leaf: Any = Scan(table_ref, binding, columns, est_rows=est)
+        if single and isinstance(table_ref, ast.BaseTableRef):
+            candidates = indexed_equalities(
+                conjuncts(select.where), database.table(table_ref.table),
+                {binding, table_ref.table},
             )
-            if left_keys:
-                source = HashJoin(source, leaf, tuple(left_keys),
-                                  tuple(right_keys))
-            else:
-                source = Product(source, leaf)
-        joined.add(binding)
-
-    return _with_residual(source, classified, used_joins)
-
-
-def _build_leaf(database: Any, table_ref: Any, binding: str,
-                columns: tuple[str, ...], pushed: Any) -> Any:
-    pushed = tuple(pushed)
-    leaf: Any = None
-    if isinstance(table_ref, ast.BaseTableRef):
-        keys = [
-            (index.name, column, value)
-            for index, column, value in _index_candidates(
-                database, table_ref, binding, pushed
+            if candidates:
+                est = float(min(
+                    index.count(value) for index, _, value in candidates
+                ))
+                keys = tuple((index.name, column, value)
+                             for index, column, value in candidates)
+                leaf = IndexLookup(table_ref, binding, columns, keys,
+                                   est_rows=est)
+        pushed = classified.pushed.get(binding)
+        if pushed:
+            est *= cost.filter_selectivity(database, table_ref, pushed)
+            not_false = tuple(
+                ast.BinaryOp("or", conjunct, ast.IsNull(conjunct))
+                for conjunct in pushed
             )
-        ]
-        if keys:
-            leaf = IndexLookup(table_ref, binding, columns, tuple(keys))
-    if leaf is None:
-        leaf = Scan(table_ref, binding, columns)
-    if pushed:
-        leaf = Filter(leaf, pushed)
-    return leaf
+            leaf = Filter(leaf, not_false, est_rows=est)
+        leaves.append(leaf)
+        leaf_ests.append(est)
+    source, _, est = _join_leaves(
+        database, select, binding_columns, classified.joins, leaves,
+        leaf_ests, keep_nulls=True,
+    )
+    return Filter(source, (select.where,), residual=True,
+                  est_rows=est * cost.DEFAULT_SELECTIVITY)
 
 
-def _index_candidates(database: Any, table_ref: Any, binding: str,
-                      pushed: Any) -> list[tuple[Any, str, Any]]:
-    """The ``(index, column, value)`` candidates a leaf's pushed
-    equality conjuncts could serve through existing hash indexes."""
-    table = database.table(table_ref.table)
-    candidates: list[tuple[Any, str, Any]] = []
-    for conjunct in pushed:
-        pair = _indexable_pair(
-            conjunct, {binding, table_ref.table}, table.schema
-        )
-        if pair is None:
-            continue
-        column, value = pair
-        index = table.index_on(column)
-        if index is not None:
-            candidates.append((index, column, value))
-    return candidates
+# ---------------------------------------------------------------------------
+# leaf and join helpers
 
 
 def _connecting_keys(joins: Any, used_joins: list[bool], joined: set[str],
@@ -190,24 +190,8 @@ def _connecting_keys(joins: Any, used_joins: list[bool], joined: set[str],
     return left_keys, right_keys
 
 
-def _with_residual(source: Any, classified: Any, used_joins: Any,
-                   ordered: Optional[Callable[[list[Any]], Any]] = None) -> Any:
-    """Wrap the residual filter (plus never-connected equi-join
-    conjuncts demoted back to plain equalities) around ``source``."""
-    residual = list(classified.residual)
-    for used, join in zip(used_joins, classified.joins):
-        if not used:
-            left_expr, _, right_expr, _ = join
-            residual.append(ast.BinaryOp("=", left_expr, right_expr))
-    if not residual:
-        return source
-    if ordered is not None:
-        residual = ordered(residual)
-    return Filter(source, tuple(residual), residual=True)
-
-
 # ---------------------------------------------------------------------------
-# the cost path (PR 9)
+# the cost-based source pipeline
 
 
 def _build_cost_source(database: Any, select: Any,
@@ -215,63 +199,83 @@ def _build_cost_source(database: Any, select: Any,
     optimizer = database.optimizer_stats
     optimizer.plans_costed += 1
     layers = cost.kind_layers(database, select.tables)
-
-    if not select.tables:
-        source = SingleRow()
-        used_joins = [False] * len(classified.joins)
-        return _with_residual(source, classified, used_joins)
-
     leaves: list[Any] = []       # Filter-wrapped (or bare) leaves, FROM order
     leaf_ests: list[Any] = []    # estimated output rows per leaf
-    leaf_total: list[bool] = []  # are ALL of the leaf's pushed conjuncts total?
-    refs_by_binding: dict[str, Any] = {}
     for table_ref in select.tables:
         binding = table_ref.binding_name
-        refs_by_binding[binding] = table_ref
         pushed = tuple(classified.pushed.get(binding, ()))
-        leaf, est, total = _cost_leaf(
+        leaf, est = _cost_leaf(
             database, table_ref, binding, binding_columns[binding],
             pushed, layers, optimizer,
         )
         leaves.append(leaf)
         leaf_ests.append(est)
-        leaf_total.append(total)
 
+    source, used_joins, _ = _join_leaves(
+        database, select, binding_columns, classified.joins, leaves,
+        leaf_ests,
+    )
+    # the residual, plus never-connected equi-join conjuncts demoted back
+    # to plain equalities, cheapest-and-most-selective first
+    residual = list(classified.residual) + [
+        ast.BinaryOp("=", left_expr, right_expr)
+        for used, (left_expr, _, right_expr, _) in zip(
+            used_joins, classified.joins
+        )
+        if not used
+    ]
+    if not residual:
+        return source
+    ranked = cost.order_conjuncts(database, residual, layers, None)
+    if ranked is not None and ranked != residual:
+        optimizer.conjuncts_reordered += 1
+        residual = ranked
+    return Filter(source, tuple(residual), residual=True)
+
+
+def _join_leaves(database: Any, select: Any, binding_columns: Any,
+                 joins: Any, leaves: list[Any], leaf_ests: list[Any],
+                 keep_nulls: bool = False) -> tuple[Any, list[bool], Any]:
+    """Join the FROM-order ``leaves`` greedily by estimated output size
+    (hash joins over ``joins`` where one connects, else products),
+    restoring FROM enumeration order when the join order changed.
+    Returns ``(source, used_joins, est_rows)``."""
+    optimizer = database.optimizer_stats
+    refs_by_binding = {ref.binding_name: ref for ref in select.tables}
+    # nothing below the residual can raise (the conjuncts planned here
+    # are total — see build_plan), so any join order yields the same rows;
+    # a guarded product keeps FROM order (reordering would only add a sort)
     order = list(range(len(leaves)))
-    if len(leaves) > 1 and _reorder_safe(
-        database, classified.joins, leaf_total, layers
-    ):
+    if len(leaves) > 1 and (joins or not keep_nulls):
         order = _greedy_join_order(
-            database, select, classified.joins, refs_by_binding,
-            binding_columns, leaf_ests,
+            database, select, joins, refs_by_binding, binding_columns,
+            leaf_ests,
         )
         if order != list(range(len(leaves))):
             optimizer.joins_reordered += 1
 
-    used_joins = [False] * len(classified.joins)
+    used_joins = [False] * len(joins)
     joined: set[str] = set()
-    source: Any = None
+    source: Any = None if leaves else SingleRow()
     current_est: Any = 1.0
     for position in order:
-        table_ref = select.tables[position]
-        binding = table_ref.binding_name
+        binding = select.tables[position].binding_name
         leaf = leaves[position]
         if source is None:
             source = leaf
             current_est = leaf_ests[position]
         else:
             current_est = _join_estimate(
-                database, classified.joins, refs_by_binding,
-                binding_columns, joined, current_est, binding,
-                leaf_ests[position],
+                database, joins, refs_by_binding, binding_columns, joined,
+                current_est, binding, leaf_ests[position],
             )[0]
             left_keys, right_keys = _connecting_keys(
-                classified.joins, used_joins, joined, binding
+                joins, used_joins, joined, binding
             )
             if left_keys:
                 source = HashJoin(source, leaf, tuple(left_keys),
-                                  tuple(right_keys),
-                                  est_rows=current_est)
+                                  tuple(right_keys), est_rows=current_est,
+                                  keep_nulls=keep_nulls)
             else:
                 source = Product(source, leaf, est_rows=current_est)
         joined.add(binding)
@@ -279,30 +283,25 @@ def _build_cost_source(database: Any, select: Any,
     if order != list(range(len(leaves))):
         positions = tuple(order.index(k) for k in range(len(leaves)))
         source = RestoreOrder(source, positions, est_rows=current_est)
-
-    def ordered_residual(residual: list[Any]) -> Any:
-        ranked = cost.order_conjuncts(database, residual, layers, None)
-        if ranked is None or ranked == residual:
-            return residual
-        optimizer.conjuncts_reordered += 1
-        return ranked
-
-    return _with_residual(source, classified, used_joins, ordered_residual)
+    return source, used_joins, current_est
 
 
 def _cost_leaf(database: Any, table_ref: Any, binding: str,
                columns: tuple[str, ...], pushed: Any, layers: Any,
-               optimizer: Any) -> tuple[Any, Any, bool]:
+               optimizer: Any) -> tuple[Any, Any]:
     """One FROM item's leaf under the cost model: selective index keys,
     ordered pushed conjuncts, zone-map prune specs, and an estimate.
-    Returns ``(node, est_rows, all_pushed_total)``."""
+    Returns ``(node, est_rows)``."""
     pushed = tuple(pushed)
     base_rows = cost.source_rows(database, table_ref)
     scanned = base_rows
     leaf: Any = None
     key_conjunct_ids: set[int] = set()
     if isinstance(table_ref, ast.BaseTableRef):
-        candidates = _index_candidates(database, table_ref, binding, pushed)
+        candidates = indexed_equalities(
+            pushed, database.table(table_ref.table),
+            {binding, table_ref.table},
+        )
         keys, scanned = cost.select_index_keys(candidates, base_rows)
         if keys:
             leaf = IndexLookup(table_ref, binding, columns, keys,
@@ -320,10 +319,6 @@ def _cost_leaf(database: Any, table_ref: Any, binding: str,
     if leaf is None:
         leaf = Scan(table_ref, binding, columns, est_rows=base_rows)
 
-    total = all(
-        cost.expression_kind(conjunct, layers, database) in ("b", "?")
-        for conjunct in pushed
-    )
     if pushed:
         # the index bucket already accounts for its key conjuncts; only
         # the remaining ones narrow the estimate further
@@ -341,21 +336,7 @@ def _cost_leaf(database: Any, table_ref: Any, binding: str,
         leaf = Filter(leaf, pushed, prune_specs=specs, est_rows=est)
     else:
         est = scanned
-    return leaf, est, total
-
-
-def _reorder_safe(database: Any, joins: Any, leaf_total: list[bool],
-                  layers: Any) -> bool:
-    """Joining leaves out of FROM order changes which leaf's pushed
-    filters evaluate first, and moves join conjuncts between hash keys
-    and the residual — safe only when none of them can raise."""
-    if not all(leaf_total):
-        return False
-    for left_expr, _, right_expr, _ in joins:
-        equality = ast.BinaryOp("=", left_expr, right_expr)
-        if cost.expression_kind(equality, layers, database) not in ("b", "?"):
-            return False
-    return True
+    return leaf, est
 
 
 def _join_estimate(database: Any, joins: Any, refs_by_binding: Any,
@@ -391,8 +372,7 @@ def _greedy_join_order(database: Any, select: Any, joins: Any,
     remaining leaf whose join to the tree-so-far is estimated smallest.
     Candidates are iterated in FROM-position order and only a *strictly*
     better estimate displaces the incumbent, so full ties (e.g. empty
-    tables, no statistics yet) reproduce the FROM order — and therefore
-    the syntactic plan, exactly.
+    tables, no statistics yet) reproduce the FROM order exactly.
     """
     n = len(leaf_ests)
     bindings = [ref.binding_name for ref in select.tables]
@@ -434,7 +414,7 @@ def _greedy_join_order(database: Any, select: Any, joins: Any,
 
 
 # ---------------------------------------------------------------------------
-# the result chain (shared by both paths)
+# the result chain
 
 
 def _build_result_chain(select: Any, source: Any) -> Any:

@@ -6,15 +6,16 @@ selects run over and over within — and across — transactions. Plans
 depend only on the catalog (schemas, indexes), never on table contents,
 so one compiled plan serves every one of those evaluations: the cache is
 keyed by the select AST node itself (frozen dataclasses hash and compare
-structurally, so re-parsed ad-hoc text deduplicates too) and invalidated
+structurally, literals with their type, so re-parsed ad-hoc text
+deduplicates too) and invalidated
 wholesale whenever ``database.schema_version`` moves — i.e. on any
 schema or index DDL.
 
 With the cost planner (PR 9) plans additionally depend on table
 *statistics*, so the cache also tracks ``database.stats_epoch``: when
 any table's stats are rebuilt past its drift threshold (or index DDL
-changes the NDV sources), cached plans are dropped and re-costed. Those
-invalidations are counted as ``optimizer.replans``.
+changes the NDV sources), cached plans are re-costed on their next
+lookup. Those invalidations are counted as ``optimizer.replans``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,7 @@ class PlanCache:
     def __init__(self, max_entries: int = 512) -> None:
         self.max_entries = max_entries
         self._plans: dict[Any, Any] = {}
+        self._stale: dict[Any, Any] = {}  # plans costed on older stats
         self._schema_version: Optional[int] = None
         self._stats_epoch: Optional[int] = None
 
@@ -118,20 +120,23 @@ class PlanCache:
                 if stats is not None:
                     stats.plan_cache_invalidations += 1
                 self._plans.clear()
+            self._stale = {}
             self._schema_version = database.schema_version
             self._stats_epoch = getattr(database, "stats_epoch", None)
         elif self._stats_epoch != getattr(database, "stats_epoch", None):
             # statistics drifted past a table's rebuild threshold (or an
             # index came/went): cached plans were costed against stale
             # estimates — re-plan (a "replan", distinct from the schema
-            # invalidation above, which would re-plan regardless of cost)
+            # invalidation above, which would re-plan regardless of cost).
+            # A re-plan keeps the stale plan's select nodes and expanded
+            # select list (schema-only), so compiled programs stay cached
             if self._plans:
                 if stats is not None:
                     stats.plan_cache_invalidations += 1
                 optimizer = getattr(database, "optimizer_stats", None)
                 if optimizer is not None:
                     optimizer.replans += 1
-                self._plans.clear()
+                self._stale, self._plans = self._plans, {}
             self._stats_epoch = getattr(database, "stats_epoch", None)
         plan = self._plans.get(select)
         if plan is not None:
@@ -141,7 +146,10 @@ class PlanCache:
         if stats is not None:
             stats.plan_cache_misses += 1
             stats.plans_built += 1
-        plan = build_plan(database, select)
+        stale = self._stale.pop(select, None)
+        plan = build_plan(database, select if stale is None else stale.select)
+        if stale is not None:
+            plan.items = stale.items
         if len(self._plans) >= self.max_entries:
             self._plans.clear()
         self._plans[select] = plan
@@ -149,3 +157,4 @@ class PlanCache:
 
     def clear(self) -> None:
         self._plans.clear()
+        self._stale = {}

@@ -1,9 +1,9 @@
 """The cost model: cardinality, selectivity, totality, and ordering.
 
 The paper's thesis (§1) is that set-oriented rule processing lets the
-rule system inherit ordinary relational optimization. PR 2 delivered the
-*syntactic* half (pushdown, hash joins, index lookups); this module adds
-the *statistics-driven* half on top of the live per-table statistics of
+rule system inherit ordinary relational optimization. Pushdown, hash
+joins and index lookups need only the catalog; this module adds the
+*statistics-driven* half on top of the live per-table statistics of
 :mod:`repro.relational.stats`:
 
 * **cardinality** estimates for leaves (row counts, index bucket
@@ -22,16 +22,18 @@ Why totality gates reordering
 
 The optimizer invariance guarantee (docs/semantics.md §15) promises that
 the cost planner changes *cost only*: values, errors, and fired-rule
-sequences are identical to the syntactic planner's. Values are safe
+sequences are identical to the naive evaluator's. Values are safe
 because 3VL ``AND`` is commutative and join output is re-sorted into
 FROM enumeration order (see ``RestoreOrder``); errors are the hazard.
 Reordering two conjuncts where one can raise (``x / 0``, a cross-kind
 comparison, an ambiguous column) can change *which* error surfaces
 first, or whether it surfaces at all. So every reorder is gated on a
 conservative proof that each moved expression is *total*: it evaluates
-to a value (possibly NULL/Unknown) on every row without raising. When
-the proof fails, the syntactic order is kept — the optimizer degrades
-to the PR 2 behaviour, never to different semantics.
+to a value (possibly NULL/Unknown) on every row without raising. The
+plan builder applies it to the whole WHERE before splitting it at all;
+rule conditions apply it per conjunction. When the proof fails, the
+written order is kept — the optimizer degrades to less optimization,
+never to different semantics.
 
 Why there is no index-lookup → scan demotion
 --------------------------------------------
@@ -548,9 +550,7 @@ def order_condition(database: Any, condition: Any) -> Any:
     environment is empty — every column reference must come from a
     subquery's own bindings to prove total.
     """
-    if condition is None or not getattr(
-        database, "enable_cost_planner", False
-    ):
+    if condition is None:
         return condition
     parts = list(conjuncts(condition))
     ranked = order_conjuncts(database, parts, (), None)

@@ -53,6 +53,7 @@ from .nodes import (
     Scan,
     SingleRow,
 )
+from .pushdown import lookup_candidates
 
 
 def execute_source(plan: Any, database: Any, resolver: Any,
@@ -253,17 +254,11 @@ class _SourceRunner:
         if self.database.on_table_read is not None:
             self.database.on_table_read(node.table_ref.table)
         table = self.database.table(node.table_ref.table)
-        candidates: Any = None
-        for _, column, value in node.keys:
-            index = table.index_on(column)
-            if index is None:
-                continue
-            found = index.lookup(value)
-            candidates = found if candidates is None else (candidates & found)
-        if candidates is None:
-            batch = table.batch()
-        else:
-            batch = table.batch_for_handles(sorted(candidates))
+        candidates = lookup_candidates(table, node.keys)
+        batch = (
+            table.batch() if candidates is None
+            else table.batch_for_handles(sorted(candidates))
+        )
         if self.stats is not None:
             self.stats.rows_scanned += len(batch.sel)
         node.actual_rows = len(batch.sel)
@@ -334,19 +329,10 @@ class _SourceRunner:
         if self.database.on_table_read is not None:
             self.database.on_table_read(node.table_ref.table)
         table = self.database.table(node.table_ref.table)
-        candidates: Any = None
-        for _, column, value in node.keys:
-            index = table.index_on(column)
-            if index is None:
-                # index dropped since planning (stale plan served once);
-                # fall back to a full scan — candidates stay a superset
-                continue
-            found = index.lookup(value)
-            candidates = found if candidates is None else (candidates & found)
-        if candidates is None:
-            handles = table.handles()
-        else:
-            handles = sorted(candidates)
+        candidates = lookup_candidates(table, node.keys)
+        handles = (
+            table.handles() if candidates is None else sorted(candidates)
+        )
         if self.stats is not None:
             self.stats.rows_scanned += len(handles)
         columns = table.schema.column_names
@@ -365,7 +351,12 @@ class _SourceRunner:
     # -- filters ----------------------------------------------------------
 
     def _run_filter(self, node: Any) -> Any:
-        bindings, combos = self.run(node.child)
+        if isinstance(node.child, Product):
+            # filter the product as it is enumerated: memory follows
+            # the surviving combinations, not the full product
+            bindings, combos = self._run_product(node.child, lazy=True)
+        else:
+            bindings, combos = self.run(node.child)
         evaluate = self.evaluator.evaluate_predicate
         kept: list[Any] = []
         for combo in combos:
@@ -400,6 +391,8 @@ class _SourceRunner:
         # per key position: kind tag -> witness value, for reproducing the
         # naive path's cross-kind comparison errors (see _check_kinds)
         witnesses: list[dict[str, Any]] = [{} for _ in node.right_keys]
+        keep_nulls = node.keep_nulls
+        null_right: list[Any] = []  # keep_nulls: right combos with a NULL key
         for position_index, combo in enumerate(right_combos):
             if right_keys is not None:
                 values = right_keys[position_index]
@@ -413,8 +406,11 @@ class _SourceRunner:
                 witnesses[position].setdefault(tag, value)
                 parts.append((tag, value))
             if len(parts) != len(values):
-                continue  # a NULL key component never joins
+                if keep_nulls:
+                    null_right.append(combo)
+                continue  # otherwise a NULL key component never joins
             buckets.setdefault(tuple(parts), []).append(combo)
+        rank = {id(c): i for i, c in enumerate(right_combos)} if null_right else {}
 
         joined: list[Any] = []
         for position_index, left_combo in enumerate(left_combos):
@@ -429,11 +425,17 @@ class _SourceRunner:
                     continue
                 self._check_kinds(value, witnesses[position])
                 parts.append((_KIND_TAGS.get(type(value), "?"), value))
-            if len(parts) != len(values):
+            matches: Any = right_combos  # a NULL probe key (keep_nulls)
+            if len(parts) == len(values):
+                matches = buckets.get(tuple(parts), ())
+                if null_right:  # merged back into the right child's order
+                    matches = sorted([*matches, *null_right],
+                                     key=lambda combo: rank[id(combo)])
+            elif not keep_nulls:
                 continue
-            for right_combo in buckets.get(tuple(parts), ()):
+            for right_combo in matches:
                 joined.append(_merge(left_combo, right_combo))
-        self._count_visited(joined)
+        self._count_visited(len(joined))
         node.actual_rows = len(joined)
         return left_bindings + right_bindings, joined
 
@@ -491,17 +493,22 @@ class _SourceRunner:
             if tag != left_tag:
                 compare_values(left_value, witness)
 
-    def _run_product(self, node: Any) -> Any:
+    def _run_product(self, node: Any, lazy: bool = False) -> Any:
+        """The Cartesian product in nested-loop order; with ``lazy`` an
+        iterator over the combinations instead of a list."""
         left_bindings, left_combos = self.run(node.left)
         right_bindings, right_combos = self.run(node.right)
-        joined = [
+        joined: Any = (
             _merge(left_combo, right_combo)
             for left_combo in left_combos
             for right_combo in right_combos
-        ]
-        self._count_visited(joined)
-        node.actual_rows = len(joined)
-        return left_bindings + right_bindings, joined
+        )
+        count = len(left_combos) * len(right_combos)
+        self._count_visited(count)
+        node.actual_rows = count
+        return left_bindings + right_bindings, (
+            joined if lazy else list(joined)
+        )
 
     def _run_restore_order(self, node: Any) -> Any:
         """Sort a reordered join's output back into FROM enumeration
@@ -522,12 +529,12 @@ class _SourceRunner:
         node.actual_rows = len(restored)
         return [bindings[p] for p in positions], restored
 
-    def _count_visited(self, combos: Any) -> None:
+    def _count_visited(self, count: int) -> None:
         if self.visited is None:
             self.visited = 0
-        self.visited += len(combos)
+        self.visited += count
         if self.stats is not None:
-            self.stats.rows_visited += len(combos)
+            self.stats.rows_visited += count
 
     # -- helpers ----------------------------------------------------------
 

@@ -42,7 +42,7 @@ class Scan:
     """Full scan of one FROM item (base *or* transition table).
 
     ``est_rows`` (here and on every source node) is the cost model's
-    plan-time cardinality estimate — None on syntactic plans;
+    plan-time cardinality estimate — None where it was not estimated;
     ``actual_rows`` is the node's output size from its most recent
     execution, written by the executor so EXPLAIN can show estimated
     vs. actual rows per node.
@@ -113,10 +113,12 @@ class HashJoin:
 
     ``left_keys``/``right_keys`` are parallel tuples of expressions (one
     pair per equi-conjunct); a combination joins when every key pair
-    compares equal and no key is NULL. Probe order preserves the left
-    child's order, then the right child's — exactly the nested-loop
-    (Cartesian) enumeration order, so results are order-identical to the
-    naive evaluator's.
+    compares equal and no key is NULL. With ``keep_nulls`` a combination
+    with a NULL key joins as well (the equality is Unknown there, not
+    False, and a residual WHERE above must still see it). Probe order
+    preserves the left child's order, then the right child's — exactly
+    the nested-loop (Cartesian) enumeration order, so results are
+    order-identical to the naive evaluator's.
     """
 
     left: Any
@@ -125,6 +127,7 @@ class HashJoin:
     right_keys: tuple          # of Expression, evaluated against right
     est_rows: Optional[float] = None
     actual_rows: Optional[int] = None
+    keep_nulls: bool = False
 
     @property
     def bindings(self) -> tuple[str, ...]:
@@ -151,7 +154,7 @@ class RestoreOrder:
 
     The cost planner may join leaves in a cheaper order than the FROM
     clause's; this node restores the naive nested-loop enumeration
-    order so results stay *order*-identical to the syntactic plan's.
+    order so results stay *order*-identical to the naive evaluator's.
     Each leaf attaches its rows' scan positions as ordinals; this node
     sorts the combined ordinal tuples by FROM position and permutes
     each combination's rows back into FROM order.
@@ -219,13 +222,18 @@ class Plan:
     ``root`` is the result-node chain (Limit/Sort/Distinct over
     Project/Aggregate); ``source`` is the combination pipeline the
     executor runs. ``select`` keeps the arm's AST alive (the cache key
-    references it) and is what the shared projection machinery reads.
+    references it) and is what the shared projection machinery reads, so
+    re-parsed text projects through the cached nodes the compiled-program
+    cache (keyed on AST identity) already holds. ``items`` is the
+    select list with ``*`` expanded, stored by the projection on its
+    first successful run.
     """
 
     select: Any                # ast.Select (one arm; union handled above)
     source: Any                # source-node tree
     root: Any                  # result-node chain ending at Project/Aggregate
     binding_columns: dict = field(default_factory=dict)
+    items: Any = None          # expanded select list, or None until first run
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +273,8 @@ def _describe(node: Any) -> str:
             f"{format_node(left)} = {format_node(right)}"
             for left, right in zip(node.left_keys, node.right_keys)
         )
+        if node.keep_nulls:
+            keys += ", NULL keys kept"
         return f"HashJoin ({keys})"
     if isinstance(node, Product):
         return "Product"
@@ -298,13 +308,10 @@ def _describe(node: Any) -> str:
 
 def _annotation(node: Any) -> str:
     """The ``  (est=..., act=...)`` suffix for nodes carrying cost-model
-    estimates and/or executor actuals; empty for syntactic plans (whose
-    explain output is unchanged from PR 2)."""
+    estimates and executor actuals; empty for nodes without an estimate
+    (the result chain)."""
     est = getattr(node, "est_rows", None)
     if est is None:
-        # only the cost planner sets estimates; the executor tracks
-        # actuals on every plan, but showing them alone would change
-        # the syntactic renderer's pinned output
         return ""
     act = getattr(node, "actual_rows", None)
     act_text = "?" if act is None else str(act)

@@ -21,8 +21,7 @@ keeps exactly the combinations the full WHERE keeps. Anything not
 analysis for correctness.
 
 The module also hosts the indexed-equality candidate computation the
-single-table fast path and the DML executor share (formerly
-``repro.relational.planner``).
+naive path's single-table fast path and the DML executor share.
 """
 
 from __future__ import annotations
@@ -95,6 +94,23 @@ def _indexable_pair(conjunct: ast.Expression, binding_names: Any,
     return column, value
 
 
+def indexed_equalities(conjunct_list: Any, table: Any,
+                       binding_names: Any) -> list[tuple[Any, str, Any]]:
+    """``(index, column, value)`` for each ``col = literal`` conjunct an
+    existing hash index on ``table`` serves, in conjunct order — the one
+    rule for index narrowing, shared by the naive path, DML and plans."""
+    found: list[tuple[Any, str, Any]] = []
+    for conjunct in conjunct_list:
+        pair = _indexable_pair(conjunct, binding_names, table.schema)
+        if pair is None:
+            continue
+        column, value = pair
+        index = table.index_on(column)
+        if index is not None:
+            found.append((index, column, value))
+    return found
+
+
 def index_candidates(where: Optional[ast.Expression], table: Any,
                      binding_names: Any) -> Optional[set[Any]]:
     """Handles possibly matching ``where`` via index lookups, or None.
@@ -109,19 +125,21 @@ def index_candidates(where: Optional[ast.Expression], table: Any,
     """
     if where is None:
         return None
+    return lookup_candidates(
+        table, indexed_equalities(conjuncts(where), table, binding_names)
+    )
+
+
+def lookup_candidates(table: Any, keys: Any) -> Optional[set[Any]]:
+    """The handles in every ``(_, column, value)`` key's index bucket,
+    or None when no key's index exists. A key whose index is gone (a
+    stale plan served once) is skipped, so candidates stay a superset."""
     candidates = None
-    for conjunct in conjuncts(where):
-        pair = _indexable_pair(conjunct, binding_names, table.schema)
-        if pair is None:
-            continue
-        column, value = pair
+    for _, column, value in keys:
         index = table.index_on(column)
-        if index is None:
-            continue
-        found = index.lookup(value)
-        candidates = found if candidates is None else (candidates & found)
-        if not candidates:
-            return set()
+        if index is not None:
+            found = index.lookup(value)
+            candidates = found if candidates is None else candidates & found
     return candidates
 
 

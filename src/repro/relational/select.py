@@ -24,6 +24,7 @@ paper's logical *transition tables* (``inserted t``, ``deleted t``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Optional
 
 from ..errors import ExecutionError
@@ -186,10 +187,14 @@ class _SelectExecutor:
     def _run_single(self, select, outer):
         stats = getattr(self.database, "planner_stats", None)
         batch = None
+        plan = None
         if getattr(self.database, "enable_planner", False):
-            bindings, scopes, batch = self._planned_scopes(
+            plan, bindings, scopes, batch = self._planned_scopes(
                 select, outer, stats
             )
+            # structurally equal to ``select``, but its nodes are the
+            # ones the compiled-program cache already holds
+            select = plan.select
         else:
             bindings, scopes = self._naive_scopes(select, outer, stats)
 
@@ -211,6 +216,7 @@ class _SelectExecutor:
                             seen.add(pair)
                             self.touched.append(pair)
 
+        items = self._items(select, bindings, plan)
         grouped = bool(select.group_by) or self._has_aggregates(select)
         if grouped:
             if batch is not None:
@@ -221,14 +227,14 @@ class _SelectExecutor:
 
                 scopes = scopes_from_batch(bindings, batch, outer)
             columns, projected = self._project_grouped(
-                select, scopes, bindings, outer, batch=batch
+                select, items, scopes, bindings, outer, batch=batch
             )
         elif batch is not None:
             columns, projected = self._project_plain_batch(
-                select, batch, bindings, outer
+                select, items, batch, bindings, outer
             )
         else:
-            columns, projected = self._project_plain(select, scopes, bindings)
+            columns, projected = self._project_plain(select, items, scopes)
 
         if select.distinct:
             seen = {}
@@ -255,7 +261,8 @@ class _SelectExecutor:
         the surviving scopes are exactly the naive path's post-WHERE
         scopes (plan-invariance guarantee). Under vectorized evaluation
         a single-binding pipeline comes back as a still-columnar batch
-        (scopes None) for the projection paths to consume directly."""
+        (scopes None) for the projection paths to consume directly.
+        Returns ``(plan, bindings, scopes, batch)``."""
         from .plan.executor import execute_source_batched
 
         plan = self.database.plan_cache.plan_for(select, self.database, stats)
@@ -268,25 +275,27 @@ class _SelectExecutor:
             collect_handles=self.collect_handles,
             stats=stats,
         )
-        return bindings, scopes, batch
+        return plan, bindings, scopes, batch
 
     # ------------------------------------------------------------------
     # FROM/WHERE handling — naive path
 
     def _naive_scopes(self, select, outer, stats):
         resolved = self._resolve_tables(select)
-        scopes = self._product_scopes(resolved, outer)
         if stats is not None:
             stats.rows_scanned += sum(len(rows) for _, _, rows, _ in resolved)
-            stats.rows_visited += len(scopes)
-        if select.where is not None:
-            scopes = [
-                scope
-                for scope in scopes
-                if self.evaluator.evaluate_predicate(select.where, scope) is True
-            ]
+            stats.rows_visited += prod(len(rows) for _, _, rows, _ in resolved)
+        # the WHERE filters each combination as it is enumerated, so
+        # memory follows the surviving rows, not the full product
+        scopes = self._product_scopes(resolved, outer)
+        where = select.where
+        if where is not None:
+            evaluate = self.evaluator.evaluate_predicate
+            scopes = (
+                scope for scope in scopes if evaluate(where, scope) is True
+            )
         bindings = [(name, columns) for name, columns, _, _ in resolved]
-        return bindings, scopes
+        return bindings, list(scopes)
 
     def _resolve_tables(self, select):
         """Resolve FROM items to (binding_name, columns, rows, pairs) tuples.
@@ -343,10 +352,11 @@ class _SelectExecutor:
 
     @staticmethod
     def _product_scopes(bindings, outer):
-        """One :class:`Scope` per combination of the FROM tables' rows."""
+        """One :class:`Scope` per combination of the FROM tables' rows,
+        yielded lazily in nested-loop (FROM) order."""
         if not bindings:
-            return [Scope(parent=outer)]
-        scopes = []
+            yield Scope(parent=outer)
+            return
         combination = [None] * len(bindings)
         touched = [None] * len(bindings)
 
@@ -358,16 +368,15 @@ class _SelectExecutor:
                 pairs = [pair for pair in touched if pair is not None]
                 if pairs:
                     scope.touched_pairs = pairs
-                scopes.append(scope)
+                yield scope
                 return
             _, _, rows, row_pairs = bindings[depth]
             for index, row in enumerate(rows):
                 combination[depth] = row
                 touched[depth] = row_pairs[index] if row_pairs else None
-                recurse(depth + 1)
+                yield from recurse(depth + 1)
 
-        recurse(0)
-        return scopes
+        yield from recurse(0)
 
     # ------------------------------------------------------------------
     # projection
@@ -382,6 +391,17 @@ class _SelectExecutor:
         if select.having is not None and contains_aggregate(select.having):
             return True
         return False
+
+    def _items(self, select, bindings, plan):
+        """The expanded select list. On the planned path it is stored on
+        the plan, so a ``*`` yields the same ``ColumnRef`` nodes every
+        run and their batch programs stay cached. An expansion error is
+        not stored: it re-raises, after the WHERE, on every run."""
+        if plan is None:
+            return self._expand_items(select, bindings)
+        if plan.items is None:
+            plan.items = self._expand_items(select, bindings)
+        return plan.items
 
     def _expand_items(self, select, bindings):
         """Expand ``*``/``t.*`` into explicit column references.
@@ -420,8 +440,7 @@ class _SelectExecutor:
             return item.expression.column
         return f"col{position + 1}"
 
-    def _project_plain(self, select, scopes, bindings):
-        items = self._expand_items(select, bindings)
+    def _project_plain(self, select, items, scopes):
         columns = [self._output_name(item, i) for i, item in enumerate(items)]
         projected = []
         for scope in scopes:
@@ -448,11 +467,10 @@ class _SelectExecutor:
             getattr(self.database, "vectorized_stats", None),
         )
 
-    def _project_plain_batch(self, select, batch, bindings, outer):
+    def _project_plain_batch(self, select, items, batch, bindings, outer):
         """Projection as column slices: every select item and order key
         compiles to one batch kernel gathering its output column over
         the surviving selection vector."""
-        items = self._expand_items(select, bindings)
         columns = [self._output_name(item, i) for i, item in enumerate(items)]
         database = self.database
         layout = layout_of(bindings)
@@ -491,8 +509,8 @@ class _SelectExecutor:
             projected.append((row, keys))
         return columns, projected
 
-    def _project_grouped(self, select, scopes, bindings, outer, batch=None):
-        items = self._expand_items(select, bindings)
+    def _project_grouped(self, select, items, scopes, bindings, outer,
+                         batch=None):
         self._validate_grouped_items(select, items)
         columns = [self._output_name(item, i) for i, item in enumerate(items)]
 

@@ -33,11 +33,24 @@ class Expression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expression):
-    """A constant: integer, float, string, boolean or NULL (``value=None``)."""
+    """A constant: integer, float, string, boolean or NULL (``value=None``).
+
+    Equality and hashing include the value's type: ``1``, ``1.0`` and
+    ``true`` are equal in Python but not as SQL constants, and the plan
+    cache keys on AST structure.
+    """
 
     value: object
+
+    def __eq__(self, other):
+        if other.__class__ is not Literal:
+            return NotImplemented
+        return type(self.value) is type(other.value) and self.value == other.value
+
+    def __hash__(self):
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)

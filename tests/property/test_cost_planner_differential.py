@@ -1,4 +1,4 @@
-"""Differential property test: cost planner on ≡ cost planner off.
+"""Differential property test: cost-based planner ≡ naive evaluator.
 
 The optimizer invariance guarantee (docs/semantics.md §15): statistics-
 driven planning — greedy join ordering, selectivity-sorted conjuncts,
@@ -6,9 +6,11 @@ selective index-key choice, zone-map pruning, cost-ordered rule
 conditions — may change the *cost* of evaluation, never its observable
 behaviour. These tests generate randomized data, indexes, multi-table
 queries (with error-raising conjuncts: division by zero, cross-kind
-comparisons), and rule programs, run them with ``enable_cost_planner``
-on and off, and require identical values, row order, touched handles,
-error types *and messages*, fired-rule sequences, and final state.
+comparisons), and rule programs, run them through the production
+planner and through the naive iterate-and-filter path
+(``enable_planner = False``, the reference), and require identical
+values, row order, touched handles, error types *and messages*,
+fired-rule sequences, and final state.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -73,9 +75,42 @@ def queries(draw):
     return f"select {items} from {tables}{where}{order}"
 
 
+# a total prefix, then a conjunct that can raise: the prefix may only
+# prune combinations on which it is False (NULL join keys and Unknown
+# pushed conjuncts must still reach the raising conjunct)
+TOTAL_PREFIX = [
+    "x.a = y.b",
+    "x.b = y.d",
+    "y.d = z.d",
+    "x.b > 0",
+    "z.e < 2",
+    "x.a = 1",
+]
+RAISING = [
+    "x.a / y.d > 0",
+    "y.b / (x.c - 1) = 1",
+    "z.e / x.b < 2",
+    "x.a > 'oops'",
+]
+
+
+@st.composite
+def guarded_queries(draw):
+    prefix = draw(st.lists(st.sampled_from(TOTAL_PREFIX), min_size=1,
+                           max_size=3))
+    tail = [draw(st.sampled_from(RAISING))] + draw(
+        st.lists(st.sampled_from(TOTAL_PREFIX + RAISING), max_size=1)
+    )
+    items = draw(st.sampled_from(["*", "x.a, y.d", "count(*)"]))
+    return (
+        f"select {items} from t1 x, t2 y, t3 z where "
+        + " and ".join(prefix + tail)
+    )
+
+
 def build_database(enabled, rows1, rows2, rows3, indexes):
     db = Database()
-    db.enable_cost_planner = enabled
+    db.enable_planner = enabled
     db.create_table("t1", [(c, "integer") for c in T1_COLUMNS])
     db.create_table("t2", [(c, "integer") for c in T2_COLUMNS])
     db.create_table("t3", [(c, "integer") for c in T3_COLUMNS])
@@ -101,10 +136,24 @@ class TestQueryEquivalence:
     @settings(max_examples=150, deadline=None)
     def test_costed_equals_syntactic(self, rows1, rows2, rows3, indexes,
                                      sql):
+        """The cost-based plan against the naive path (the name predates
+        the retired syntactic-only planner mode)."""
         select = parse_select(sql)
         costed = build_database(True, rows1, rows2, rows3, indexes)
-        syntactic = build_database(False, rows1, rows2, rows3, indexes)
-        assert outcome(costed, select) == outcome(syntactic, select), sql
+        naive = build_database(False, rows1, rows2, rows3, indexes)
+        assert outcome(costed, select) == outcome(naive, select), sql
+
+    @given(t1_rows, t2_rows, t3_rows, index_choice, guarded_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_total_prefix_prunes_without_hiding_errors(
+            self, rows1, rows2, rows3, indexes, sql):
+        """A join whose WHERE can raise after a total prefix: the prefix
+        prunes the join, the whole WHERE still decides every combination
+        the naive path would evaluate it on."""
+        select = parse_select(sql)
+        costed = build_database(True, rows1, rows2, rows3, indexes)
+        naive = build_database(False, rows1, rows2, rows3, indexes)
+        assert outcome(costed, select) == outcome(naive, select), sql
 
     @given(t1_rows, t2_rows, t3_rows, queries())
     @settings(max_examples=40, deadline=None)
@@ -114,12 +163,12 @@ class TestQueryEquivalence:
         re-costed plan may differ in shape, never in output)."""
         select = parse_select(sql)
         costed = build_database(True, rows1, rows2, rows3, set())
-        syntactic = build_database(False, rows1, rows2, rows3, set())
-        assert outcome(costed, select) == outcome(syntactic, select), sql
-        for db in (costed, syntactic):
+        naive = build_database(False, rows1, rows2, rows3, set())
+        assert outcome(costed, select) == outcome(naive, select), sql
+        for db in (costed, naive):
             db.insert_row("t1", (2, 2, 2))
             db.table("t1").rebuild_stats()
-        assert outcome(costed, select) == outcome(syntactic, select), sql
+        assert outcome(costed, select) == outcome(naive, select), sql
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +211,7 @@ def rule_workloads(draw):
 
 def build_engine(enabled, thresholds):
     db = ActiveDatabase(record_seen=False)
-    db.database.enable_cost_planner = enabled
+    db.database.enable_planner = enabled
     db.execute("create table t1 (a integer, b integer, c integer)")
     db.execute("create table t2 (b integer, d integer)")
     db.execute("create table t3 (d integer, e integer)")

@@ -17,8 +17,8 @@ soundness must hold on ill-typed programs too (their witnesses just
 must not claim totality). A second group checks the consumer end to
 end: typed batch kernels agree with generic kernels and the row
 interpreter on values *and* errors, and whole rule transactions fire
-the same rule sequences under every compiled / incremental / typed
-on-off configuration.
+the same rule sequences under every compiled / incremental on-off
+configuration.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -39,6 +39,7 @@ from repro.relational.expressions import Evaluator, Scope
 from repro.relational.select import BaseTableResolver
 from repro.relational.types import SqlType
 from repro.sql import ast
+from repro.sql.parser import parse_expression
 
 COLUMNS = ("a", "b", "s", "flag")
 LAYOUT = (("t", COLUMNS),)
@@ -249,6 +250,43 @@ class TestTypedKernelEquivalence:
                 assert result[2] == str(typed_out[1])
 
 
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">="])
+    def test_typed_comparisons_agree_at_the_boundaries(self, op):
+        """Every comparison operator, typed vs generic vs interpreter, on
+        equal, neighbouring and NULL operands — the cases where an
+        off-by-one typed kernel (``<`` compiled as ``<=``) differs."""
+        database = fresh_database()
+        kinds = {"a": "n", "b": "n", "s": "s", "flag": "b"}
+        table_rows = [
+            (1, 1.0, "ab", True), (2, 1.5, "abc", False),
+            (0, 2.0, "", None), (None, None, None, True),
+        ]
+        cols = [[row[j] for row in table_rows] for j in range(len(COLUMNS))]
+        evaluator = Evaluator(database, BaseTableResolver(database))
+
+        def scope_for(slot):
+            scope = Scope()
+            scope.bind("t", COLUMNS, table_rows[slot])
+            return scope
+
+        ctx = BatchContext(cols, scope_for, evaluator)
+        sel = list(range(len(table_rows)))
+        for left, right in (("a", "1"), ("a", "b"), ("b", "1.5"),
+                            ("s", "'ab'"), ("1", "a")):
+            expression = parse_expression(f"{left} {op} {right}")
+            typed = compile_batch_expression(
+                expression, LAYOUT, kinds=kinds, database=database
+            )
+            generic = compile_batch_expression(expression, LAYOUT)
+            assert typed.kernels_typed == 1
+            expected = [
+                evaluator.evaluate(expression, scope_for(slot))
+                for slot in sel
+            ]
+            assert typed.fn(ctx, list(sel)) == (expected, None)
+            assert generic.fn(ctx, list(sel)) == (expected, None)
+
+
 def _describe_error(error):
     return None if error is None else (type(error).__name__, str(error))
 
@@ -283,17 +321,15 @@ QUERIES = [
 ]
 
 CONFIGS = [
-    {"typed": True, "compiled": True, "incremental": True},
-    {"typed": False, "compiled": True, "incremental": True},
-    {"typed": True, "compiled": False, "incremental": True},
-    {"typed": True, "compiled": True, "incremental": False},
-    {"typed": False, "compiled": False, "incremental": False},
+    {"compiled": True, "incremental": True},
+    {"compiled": False, "incremental": True},
+    {"compiled": True, "incremental": False},
+    {"compiled": False, "incremental": False},
 ]
 
 
 def run_scenario(config):
     adb = ActiveDatabase()
-    adb.database.enable_typed_kernels = config["typed"]
     adb.database.enable_compiled_eval = config["compiled"]
     adb.database.enable_incremental_eval = config["incremental"]
     for statement in SCENARIO:
@@ -314,7 +350,7 @@ def run_scenario(config):
 class TestConfigurationDifferential:
     @pytest.mark.parametrize(
         "config", CONFIGS[1:],
-        ids=["generic", "row-path", "non-incremental", "interpreter"],
+        ids=["row-path", "non-incremental", "interpreter"],
     )
     def test_fired_sequences_and_results_match(self, config):
         baseline = run_scenario(CONFIGS[0])
@@ -322,11 +358,10 @@ class TestConfigurationDifferential:
 
     def test_typed_kernels_actually_engaged(self):
         adb = ActiveDatabase()
-        # typed kernels ride on compiled evaluation; force both on so
-        # this check holds under the CI env matrix that disables the
-        # lower layer (REPRO_COMPILED_EVAL=0 etc.)
+        # typed kernels ride on compiled evaluation; force it on so
+        # this check holds under the CI env matrix that disables it
+        # (REPRO_COMPILED_EVAL=0)
         adb.database.enable_compiled_eval = True
-        adb.database.enable_typed_kernels = True
         for statement in SCENARIO:
             adb.execute(statement)
         for statement in WORKLOAD:

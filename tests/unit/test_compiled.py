@@ -49,6 +49,19 @@ def run(program, rows, evaluator=None, outer=None, layout=LAYOUT):
     return program.fn(ctx, batch.sel)
 
 
+def emp_database():
+    """An ``emp`` table of three rows, compiled evaluation forced on."""
+    database = Database()
+    database.enable_compiled_eval = True
+    database.create_table(
+        "emp", [("name", "varchar"), ("salary", "integer"),
+                ("dept_no", "integer")],
+    )
+    for row in (("ann", 50, 1), ("bob", 300, 1), CAROL):
+        database.insert_row("emp", row)
+    return database
+
+
 def interpreted_error(node, row, predicate=False):
     scope = Scope()
     scope.bind("emp", COLUMNS, row)
@@ -235,6 +248,49 @@ class TestCompiledCache:
         first = batch_program_for(database, node, LAYOUT)
         database.insert_row("t", (1,))  # bumps version, not schema_version
         assert batch_program_for(database, node, LAYOUT) is first
+
+    @pytest.mark.parametrize("sql", [
+        "select name, salary from emp where salary > 100",
+        "select name from emp where salary > 100 order by salary desc",
+        "select * from emp where salary > 100",
+        "select e.* from emp e where e.salary > 100 order by e.name",
+    ])
+    def test_reparsed_text_reuses_cached_programs(self, sql):
+        """Re-parsed text hits the plan cache (keyed structurally); its
+        projection, order keys and ``*`` expansion must then come from
+        the cached plan's AST too, so later runs compile nothing."""
+        database = emp_database()
+
+        def run():
+            return evaluate_select(database, parse_select(sql)).rows
+
+        first = run()
+        misses = database.compiler_stats.cache_misses
+        size = len(database.compiled_cache)
+        for _ in range(3):
+            assert run() == first
+        assert database.compiler_stats.cache_misses == misses
+        assert len(database.compiled_cache) == size
+
+    def test_unknown_star_qualifier_raises_after_where(self):
+        """The memoized ``*`` expansion keeps the naive path's error
+        precedence: the WHERE's error surfaces first, and an unknown
+        ``q.*`` raises on every run, not only the first."""
+        messages = {}
+        for planner in (True, False):
+            database = emp_database()
+            database.enable_planner = planner
+            outcome = []
+            for sql in ("select q.* from emp where salary / 0 > 1",
+                        "select q.* from emp where salary > 1",
+                        "select q.* from emp where salary > 1"):
+                with pytest.raises(ExecutionError) as info:
+                    evaluate_select(database, parse_select(sql))
+                outcome.append(str(info.value))
+            messages[planner] = outcome
+        assert messages[True] == messages[False]
+        assert "division by zero" in messages[True][0]
+        assert "unknown table or alias 'q'" in messages[True][1]
 
     def test_overflow_clears_wholesale(self):
         cache = CompiledCache(max_entries=2)

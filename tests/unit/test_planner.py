@@ -9,7 +9,7 @@ preservation, NULL join keys, cross-kind keys, touched handles).
 import pytest
 
 from repro import ActiveDatabase
-from repro.errors import ExecutionError, TypeError_
+from repro.errors import ExecutionError, ReproError, TypeError_
 from repro.relational.database import Database
 from repro.relational.plan import (
     Filter,
@@ -224,6 +224,32 @@ class TestPlanCache:
                                 database, stats)
         assert first is second
 
+    def test_literals_of_different_types_do_not_share_a_plan(self):
+        """``1``, ``1.0`` and ``true`` are equal in Python but are
+        different SQL constants: the queries project through their own
+        cached plans, keeping their value types and errors."""
+        db = ActiveDatabase()
+        db.execute("create table t (a integer)")
+        db.execute("insert into t values (2)")
+        for sql, expected in (
+            ("select 1 from t", 1),
+            ("select true from t", True),
+            ("select 1.0 from t", 1.0),
+            ("select 1 from t", 1),
+        ):
+            (value,), = db.query(sql).rows
+            assert type(value) is type(expected) and value == expected
+        assert db.query("select 1 + a from t").rows == [(3,)]
+        with pytest.raises(TypeError_):
+            db.query("select true + a from t")
+        db.database.plan_cache.clear()
+        with pytest.raises(TypeError_):
+            db.query("select true + a from t")
+        assert db.query("select 1 + a from t").rows == [(3,)]
+        assert db.query("select a from t where a > 1").rows == [(2,)]
+        with pytest.raises(TypeError_):
+            db.query("select a from t where a > true")
+
     def test_schema_version_change_invalidates(self, database):
         database.schema_version = 0
         cache = PlanCache()
@@ -240,7 +266,6 @@ class TestPlanCache:
         """Regression: CREATE/DROP INDEX must invalidate cached plans
         through the stats-epoch cache key, re-planning access paths and
         counting an optimizer replan."""
-        database.enable_cost_planner = True
         stats = database.planner_stats
         select = parse_select("select name from emp where dept_no = 1")
         before = database.plan_cache.plan_for(select, database, stats)
@@ -262,7 +287,6 @@ class TestPlanCache:
         """A statistics rebuild (drift threshold / compaction) moves the
         stats epoch without touching the schema version, so the next
         lookup re-costs the plan and counts an optimizer replan."""
-        database.enable_cost_planner = True
         stats = database.planner_stats
         select = parse_select("select name from emp")
         before = database.plan_cache.plan_for(select, database, stats)
@@ -271,6 +295,22 @@ class TestPlanCache:
         after = database.plan_cache.plan_for(select, database, stats)
         assert after is not before
         assert database.optimizer_stats.replans == replans + 1
+
+    def test_replan_reuses_compiled_programs(self):
+        """A stats-driven re-plan re-costs the stale plan's own select
+        nodes and keeps its expanded select list, so re-parsed text
+        compiles nothing new after it."""
+        db = ActiveDatabase()
+        db.execute("create table t (a integer, b integer)")
+        db.execute("insert into t values (1, 2), (3, 4)")
+        sql = "select * from t where a > 1"
+        db.query(sql)
+        misses = db.database.compiler_stats.cache_misses
+        replans = db.database.optimizer_stats.replans
+        db.database.table("t").rebuild_stats()
+        assert db.query(sql).rows == [(3, 4)]
+        assert db.database.optimizer_stats.replans == replans + 1
+        assert db.database.compiler_stats.cache_misses == misses
 
     def test_overflow_clears_wholesale(self, database):
         database.schema_version = 0
@@ -414,6 +454,81 @@ class TestPlannedExecutionAgreesWithNaive:
         db.database.enable_planner = True
         assert planned_visited == 4      # only matching combinations
         assert naive_visited == 15       # full 5 x 3 product
+
+    def outcomes(self, db, sql):
+        """``(planned, naive)`` outcomes: rows, or the error raised."""
+        select = parse_select(sql)
+        results = []
+        for planner in (True, False):
+            db.database.enable_planner = planner
+            try:
+                results.append(evaluate_select(db.database, select).rows)
+            except ReproError as error:
+                results.append((type(error).__name__, str(error)))
+        db.database.enable_planner = True
+        return results
+
+    def test_unknown_conjunct_does_not_hide_a_later_error(self):
+        """Kleene AND evaluates its right side when the left is Unknown:
+        emp 'e' has a NULL salary, so the naive path reaches the
+        cross-kind comparison on it and raises."""
+        db = self.make_db()
+        planned, naive = self.outcomes(
+            db, "select name from emp where salary > 100 and name > 1"
+        )
+        assert naive[0] == "TypeError_"
+        assert planned == naive
+
+    def test_raising_where_is_not_pushed_below_the_product(self):
+        """No emp row is named 'z', so the naive path never evaluates
+        the division; a pushed dept filter would divide by zero."""
+        db = self.make_db()
+        sql = (
+            "select e.name from emp e, dept d "
+            "where e.name = 'z' and d.mgr_no / (d.dept_no - 1) > 0"
+        )
+        planned, naive = self.outcomes(db, sql)
+        assert planned == naive == []
+        plan = build_plan(db.database, parse_select(sql))
+        assert isinstance(plan.source, Filter) and plan.source.residual
+        assert isinstance(plan.source.child, Product)
+
+    def test_null_join_key_still_reaches_a_later_error(self):
+        """emp 'd' has a NULL dept_no, so the join equality is Unknown
+        on its combinations and the naive path goes on to divide by zero
+        there (its salary is 40). The plan keeps its hash join, but the
+        join keeps NULL-key combinations for the whole WHERE above it."""
+        db = self.make_db()
+        sql = (
+            "select e.name from emp e, dept d "
+            "where e.dept_no = d.dept_no and d.mgr_no / (e.salary - 40.0) <> 0"
+        )
+        planned, naive = self.outcomes(db, sql)
+        assert naive[0] == "ExecutionError"
+        assert planned == naive
+        plan = build_plan(db.database, parse_select(sql))
+        assert isinstance(plan.source, Filter) and plan.source.residual
+        assert isinstance(plan.source.child, HashJoin)
+        assert plan.source.child.keep_nulls
+        db.execute("delete from emp where salary = 40.0")
+        planned, naive = self.outcomes(db, sql)
+        assert planned == naive == [("a",), ("b",), ("c",)]
+
+    def test_unknown_pushed_conjunct_still_reaches_a_later_error(self):
+        """emp 'e' has a NULL salary: the first conjunct is Unknown on
+        its combinations, so the naive path divides by zero there (its
+        dept_no is 3). The pushed filter must keep that row."""
+        db = self.make_db()
+        sql = (
+            "select e.name from emp e, dept d "
+            "where e.salary > 15 and d.mgr_no / (e.dept_no - 3) > 0"
+        )
+        planned, naive = self.outcomes(db, sql)
+        assert naive[0] == "ExecutionError"
+        assert planned == naive
+        plan = build_plan(db.database, parse_select(sql))
+        assert isinstance(plan.source.child, Product)
+        assert isinstance(plan.source.child.left, Filter)
 
     def test_index_dropped_after_planning_falls_back_to_scan(self):
         db = self.make_db()

@@ -6,8 +6,6 @@ import pytest
 
 from repro import ActiveDatabase
 from repro.errors import ReproError
-from repro.relational.compiled import typed_kernels_enabled
-from repro.relational.database import Database
 from repro.relational.select import BaseTableResolver, evaluate_select
 from repro.sql.parser import parse_select
 
@@ -59,14 +57,18 @@ class TestEnvironmentGate:
         assert section["batches_scanned"] == 0
 
     def test_vectorized_requires_compiled_layer(self):
-        database = Database()
-        database.enable_compiled_eval = True
-        database.enable_typed_kernels = True
-        assert typed_kernels_enabled(database) is True
-        database.enable_compiled_eval = False
         # typed kernels specialize batch kernels, which exist only with
         # compiled evaluation on: the interpreter is the one oracle
-        assert typed_kernels_enabled(database) is False
+        counts = {}
+        for compiled in (False, True):
+            db = ActiveDatabase()
+            db.database.enable_compiled_eval = compiled
+            db.execute("create table t (a integer, b integer)")
+            db.execute("insert into t values (1, 2), (3, 4)")
+            assert db.rows("select a from t where a + b > 4") == [(3,)]
+            counts[compiled] = db.stats()["vectorized"]["typed_kernels"]
+        assert counts[False] == 0
+        assert counts[True] > 0
 
 
 class TestStatsSection:
